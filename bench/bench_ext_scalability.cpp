@@ -20,8 +20,7 @@
 // results/ext_scalability_rss.json — machine-dependent, never gated.
 //
 // Flags: --n_list=3,...,128 --load=N --load_list=N,... --size=8192
-//        --seeds=N --jobs=N --quick --event-shards=K (0 = one per process)
-//        --rss --trace-out=<path.jsonl>
+//        --seeds=N --jobs=N --quick --rss --trace-out=<path.jsonl>
 #include <sys/resource.h>
 
 #include "analysis/analytical_model.hpp"
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
                     with_batching_flags(
                         {"n_list", "load", "load_list", "size", "seeds",
                          "warmup_s", "measure_s", "quick", "json", "jobs",
-                         "event-shards", "rss", "trace-out"}));
+                         "rss", "trace-out"}));
   BenchConfig bc = bench_config(flags);
   const auto n_list = flags.get_int_list(
       "n_list", bc.quick ? std::vector<std::int64_t>{3, 7, 33, 128}
@@ -81,8 +80,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto size = static_cast<std::size_t>(flags.get_int("size", 8192));
-  const auto shards_flag =
-      static_cast<std::size_t>(flags.get_int("event-shards", 0));
   const bool report_rss = flags.get_bool("rss", false);
 
   std::vector<workload::SweepPoint> points;
@@ -94,7 +91,6 @@ int main(int argc, char** argv) {
     pt.workload.warmup = util::from_seconds(bc.warmup_s);
     pt.workload.measure = util::from_seconds(bc.measure_s);
     pt.workload.collect_metrics = !bc.trace_out.empty();
-    pt.workload.event_shards = shards_flag == 0 ? pt.n : shards_flag;
     pt.seeds = bc.seeds;
     apply_stack_tuning(bc, pt.stack);
     pt.stack.kind = core::StackKind::kModular;

@@ -30,8 +30,7 @@ class SimWorld::ProcRuntime final : public Runtime {
           if (it == timers_.end()) return;  // cancelled
           timers_.erase(it);
           world_->cpu(self_).execute(world_->config_.cpu.timer_base, fn);
-        },
-        self_);
+        });
     timers_[id] = event;
     return id;
   }
@@ -63,7 +62,6 @@ class SimWorld::ProcRuntime final : public Runtime {
 
 SimWorld::SimWorld(SimWorldConfig config)
     : config_(config),
-      sim_(std::max<std::size_t>(config.event_shards, 1)),
       // The network draws its own RNG stream off the world seed so drop
       // decisions replay identically however many worlds run in parallel.
       net_(sim_, config.n, config.net, config.seed ^ 0x6e6574647270ULL),
@@ -72,7 +70,7 @@ SimWorld::SimWorld(SimWorldConfig config)
   cpus_.reserve(config_.n);
   runtimes_.reserve(config_.n);
   for (std::size_t p = 0; p < config_.n; ++p) {
-    cpus_.push_back(std::make_unique<sim::Cpu>(sim_, p));
+    cpus_.push_back(std::make_unique<sim::Cpu>(sim_));
     runtimes_.push_back(std::make_unique<ProcRuntime>(
         *this, static_cast<util::ProcessId>(p), root_rng_.split()));
   }
@@ -106,7 +104,7 @@ void SimWorld::start() {
     assert(protocols_[p] != nullptr && "attach() every process before start");
     sim_.at(0, [this, p] {
       if (!crashed(static_cast<util::ProcessId>(p))) protocols_[p]->start();
-    }, p);
+    });
   }
 }
 
@@ -116,7 +114,7 @@ void SimWorld::crash(util::ProcessId p) {
 }
 
 void SimWorld::crash_at(util::ProcessId p, util::TimePoint when) {
-  sim_.at(when, [this, p] { crash(p); }, p);
+  sim_.at(when, [this, p] { crash(p); });
 }
 
 }  // namespace modcast::runtime

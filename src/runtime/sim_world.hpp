@@ -45,12 +45,6 @@ struct SimWorldConfig {
   sim::NetworkConfig net;
   CpuCostModel cpu;
   std::uint64_t seed = 1;
-  /// Event-queue shards for the simulator (sim/event_queue.hpp). 0 or 1
-  /// keeps the single flat heap; SimWorld tags every scheduled event with
-  /// its owning process, so `n` gives one shard per process. Any value
-  /// executes the byte-identical event order (the deterministic ordering
-  /// contract is global (time, insertion seq) regardless of sharding).
-  std::size_t event_shards = 1;
 };
 
 class SimWorld {

@@ -28,7 +28,7 @@ void Cpu::start_next() {
     queue_.pop_front();
     work.fn();  // fn may call charge(), extending free_at_
     start_next();
-  }, shard_);
+  });
 }
 
 void Cpu::charge(util::Duration cost) {

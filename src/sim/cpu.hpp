@@ -22,11 +22,7 @@ class Cpu {
  public:
   using WorkFn = util::InlineFn<64>;
 
-  /// `shard` tags this CPU's completion events for the simulator's optional
-  /// event sharding (SimWorld passes the owning process id; ignored by an
-  /// unsharded simulator).
-  explicit Cpu(Simulator& sim, std::size_t shard = 0)
-      : sim_(&sim), shard_(shard) {}
+  explicit Cpu(Simulator& sim) : sim_(&sim) {}
 
   /// Enqueues work costing `cost` CPU time. `fn` runs at the instant the
   /// work *completes* (it starts when the CPU frees up). FIFO per CPU.
@@ -66,7 +62,6 @@ class Cpu {
   void start_next();
 
   Simulator* sim_;
-  std::size_t shard_ = 0;
   std::deque<Work> queue_;
   bool running_ = false;
   util::TimePoint free_at_ = 0;

@@ -5,15 +5,6 @@
 
 namespace modcast::sim {
 
-EventQueue::EventQueue(std::size_t shards)
-    : heaps_(std::max<std::size_t>(shards, 1)) {
-  if (heaps_.size() > 1) {
-    shard_key_.resize(heaps_.size());
-    shard_pos_.assign(heaps_.size(), kNil);
-    shard_heap_.reserve(heaps_.size());
-  }
-}
-
 void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
@@ -21,33 +12,15 @@ void EventQueue::release_slot(std::uint32_t slot) {
   slots_.release(slot);
 }
 
-EventId EventQueue::schedule(util::TimePoint when, Callback fn,
-                             std::size_t shard) {
-  if (shard >= heaps_.size()) shard %= heaps_.size();
+EventId EventQueue::schedule(util::TimePoint when, Callback fn) {
   const std::uint32_t slot = slots_.acquire();
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   const EventId id = (static_cast<EventId>(s.generation) << 32) |
                      static_cast<EventId>(slot + 1);
-  const HeapEntry entry{when, next_seq_++, slot, s.generation};
-  std::vector<HeapEntry>& heap = heaps_[shard];
-  heap.push_back(entry);
-  sift_up(heap, heap.size() - 1);
+  heap_.push_back(HeapEntry{when, next_seq_++, slot, s.generation});
+  sift_up(heap_.size() - 1);
   ++live_;
-  if (heaps_.size() > 1 && heap.front().slot == slot &&
-      heap.front().gen == entry.gen) {
-    // The new entry became its shard's live head: decrease the cached key.
-    // (A cached key can already be earlier — a cancelled former head — in
-    // which case it stays; early keys are corrected lazily in top_shard.)
-    const ShardKey key{when, entry.seq};
-    const auto s32 = static_cast<std::uint32_t>(shard);
-    if (shard_pos_[shard] == kNil) {
-      index_insert(s32, key);
-    } else if (earlier(key, shard_key_[shard])) {
-      shard_key_[shard] = key;
-      index_sift_up(shard_pos_[shard]);
-    }
-  }
   return id;
 }
 
@@ -61,182 +34,76 @@ void EventQueue::cancel(EventId id) {
   release_slot(slot);
   --live_;
   // The heap entry stays; drop_stale()/pop() skip it via the generation
-  // mismatch when it surfaces at its shard's head.
+  // mismatch when it surfaces at the head.
 }
 
-void EventQueue::drop_stale(std::vector<HeapEntry>& heap) const {
-  while (!heap.empty() &&
-         slots_[heap.front().slot].generation != heap.front().gen) {
-    heap_pop_top(heap);
-  }
-}
-
-void EventQueue::index_sift_up(std::size_t i) const {
-  const std::uint32_t s = shard_heap_[i];
-  const ShardKey key = shard_key_[s];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 1;
-    const std::uint32_t p = shard_heap_[parent];
-    if (!earlier(key, shard_key_[p])) break;
-    shard_heap_[i] = p;
-    shard_pos_[p] = static_cast<std::uint32_t>(i);
-    i = parent;
-  }
-  shard_heap_[i] = s;
-  shard_pos_[s] = static_cast<std::uint32_t>(i);
-}
-
-void EventQueue::index_sift_down(std::size_t i) const {
-  const std::size_t n = shard_heap_.size();
-  const std::uint32_t s = shard_heap_[i];
-  const ShardKey key = shard_key_[s];
-  for (;;) {
-    const std::size_t left = (i << 1) + 1;
-    if (left >= n) break;
-    std::size_t best = left;
-    const std::size_t right = left + 1;
-    if (right < n &&
-        earlier(shard_key_[shard_heap_[right]],
-                shard_key_[shard_heap_[left]])) {
-      best = right;
-    }
-    const std::uint32_t b = shard_heap_[best];
-    if (!earlier(shard_key_[b], key)) break;
-    shard_heap_[i] = b;
-    shard_pos_[b] = static_cast<std::uint32_t>(i);
-    i = best;
-  }
-  shard_heap_[i] = s;
-  shard_pos_[s] = static_cast<std::uint32_t>(i);
-}
-
-void EventQueue::index_insert(std::uint32_t shard, ShardKey key) const {
-  shard_key_[shard] = key;
-  shard_heap_.push_back(shard);
-  shard_pos_[shard] = static_cast<std::uint32_t>(shard_heap_.size() - 1);
-  index_sift_up(shard_heap_.size() - 1);
-}
-
-void EventQueue::index_remove_root() const {
-  shard_pos_[shard_heap_.front()] = kNil;
-  const std::uint32_t moved = shard_heap_.back();
-  shard_heap_.pop_back();
-  if (shard_heap_.empty()) return;
-  shard_heap_.front() = moved;
-  shard_pos_[moved] = 0;
-  index_sift_down(0);
-}
-
-std::size_t EventQueue::top_shard() const {
-  // Cached keys only run early (see file comment), so the true global
-  // minimum's shard can never be buried below a later-keyed shard: loop
-  // until the root's cached key matches its live head, recomputing keys
-  // that turn out stale. Each iteration strictly raises one shard's key or
-  // removes an emptied shard, so the loop terminates.
-  for (;;) {
-    assert(!shard_heap_.empty());
-    const std::uint32_t s = shard_heap_.front();
-    std::vector<HeapEntry>& heap = heaps_[s];
-    drop_stale(heap);
-    if (heap.empty()) {
-      index_remove_root();
-      continue;
-    }
-    const ShardKey head{heap.front().when, heap.front().seq};
-    if (head.when == shard_key_[s].when && head.seq == shard_key_[s].seq) {
-      return s;
-    }
-    shard_key_[s] = head;
-    index_sift_down(0);
+void EventQueue::drop_stale() const {
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].generation != heap_.front().gen) {
+    heap_pop_top();
   }
 }
 
 util::TimePoint EventQueue::next_time() const {
   assert(live_ > 0);
-  if (heaps_.size() == 1) {
-    std::vector<HeapEntry>& heap = heaps_[0];
-    drop_stale(heap);
-    assert(!heap.empty());
-    return heap.front().when;
-  }
-  return heaps_[top_shard()].front().when;
+  drop_stale();
+  assert(!heap_.empty());
+  return heap_.front().when;
 }
 
 EventQueue::Callback EventQueue::pop(util::TimePoint* when) {
   assert(live_ > 0);
-  std::vector<HeapEntry>* heap = nullptr;
-  std::size_t shard = 0;
-  if (heaps_.size() == 1) {
-    heap = &heaps_[0];
-    drop_stale(*heap);
-  } else {
-    shard = top_shard();  // leaves `shard` at the index root
-    heap = &heaps_[shard];
-  }
-  assert(!heap->empty());
-  const HeapEntry top = heap->front();
+  drop_stale();
+  assert(!heap_.empty());
+  const HeapEntry top = heap_.front();
   if (when != nullptr) *when = top.when;
   Callback fn = std::move(slots_[top.slot].fn);
   release_slot(top.slot);
-  heap_pop_top(*heap);
+  heap_pop_top();
   --live_;
-  if (heaps_.size() > 1) {
-    drop_stale(*heap);
-    if (heap->empty()) {
-      index_remove_root();
-    } else {
-      shard_key_[shard] = ShardKey{heap->front().when, heap->front().seq};
-      index_sift_down(0);
-    }
-  }
   return fn;
 }
 
 std::size_t EventQueue::state_bytes() const {
-  std::size_t heap_bytes = 0;
-  for (const auto& h : heaps_) heap_bytes += h.capacity() * sizeof(HeapEntry);
-  return slots_.state_bytes() + heap_bytes +
-         shard_key_.capacity() * sizeof(ShardKey) +
-         shard_pos_.capacity() * sizeof(std::uint32_t) +
-         shard_heap_.capacity() * sizeof(std::uint32_t);
+  return slots_.state_bytes() + heap_.capacity() * sizeof(HeapEntry);
 }
 
-void EventQueue::sift_up(std::vector<HeapEntry>& heap, std::size_t i) const {
-  const HeapEntry e = heap[i];
+void EventQueue::sift_up(std::size_t i) const {
+  const HeapEntry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (earlier(e, heap[parent])) {
-      heap[i] = heap[parent];
+    if (earlier(e, heap_[parent])) {
+      heap_[i] = heap_[parent];
       i = parent;
     } else {
       break;
     }
   }
-  heap[i] = e;
+  heap_[i] = e;
 }
 
-void EventQueue::sift_down(std::vector<HeapEntry>& heap, std::size_t i) const {
-  const std::size_t n = heap.size();
-  const HeapEntry e = heap[i];
+void EventQueue::sift_down(std::size_t i) const {
+  const std::size_t n = heap_.size();
+  const HeapEntry e = heap_[i];
   for (;;) {
     const std::size_t first = (i << 2) + 1;
     if (first >= n) break;
     const std::size_t end = std::min(first + 4, n);
     std::size_t best = first;
     for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(heap[c], heap[best])) best = c;
+      if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap[best], e)) break;
-    heap[i] = heap[best];
+    if (!earlier(heap_[best], e)) break;
+    heap_[i] = heap_[best];
     i = best;
   }
-  heap[i] = e;
+  heap_[i] = e;
 }
 
-void EventQueue::heap_pop_top(std::vector<HeapEntry>& heap) const {
-  heap.front() = heap.back();
-  heap.pop_back();
-  if (!heap.empty()) sift_down(heap, 0);
+void EventQueue::heap_pop_top() const {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
 }
 
 }  // namespace modcast::sim

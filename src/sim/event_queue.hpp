@@ -12,24 +12,6 @@
 // O(1): each slot carries a generation counter, and an EventId embeds the
 // generation it was issued under, so cancel just bumps the generation and
 // the stale heap entry is skipped when it surfaces.
-//
-// Sharding (optional): constructed with k > 1, the queue keeps k
-// independent 4-ary heaps plus an indexed min-heap over the k shard heads
-// (position map per shard, so each nonempty shard appears exactly once —
-// no lazy duplicates to accumulate). Callers tag each schedule with a
-// shard hint (per-process in SimWorld); ordering is STILL the global
-// (time, insertion sequence) — the sequence counter is queue-global — so a
-// sharded run executes the byte-identical event order as an unsharded one.
-// What sharding buys at big n is smaller per-heap sift depth (log of the
-// per-process backlog instead of the global one) and hot heap slices that
-// fit in cache; the head index costs O(log k) per head change.
-//
-// Head-index staleness: a cancel() can invalidate a shard's cached head
-// key without notification. Cached keys therefore only ever run EARLY
-// (cancellation never makes a live head earlier, and schedule() decreases
-// the cached key when a new entry becomes its shard's head), so a stale
-// shard surfaces at the index root before its true turn, gets its key
-// recomputed, and is sifted back down — never skipped.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +32,9 @@ class EventQueue {
   /// Callables up to 64 capture bytes are stored inline in the slot pool.
   using Callback = util::InlineFn<64>;
 
-  /// `shards` > 1 splits the heap into that many independently sifted
-  /// sub-heaps (see file comment). Pop order is identical for every value.
-  explicit EventQueue(std::size_t shards = 1);
-
   /// Schedules `fn` at absolute time `when`. Returns a handle usable with
-  /// cancel(). `shard` places the entry on one of the sub-heaps (ignored —
-  /// reduced modulo — when out of range; irrelevant to ordering).
-  EventId schedule(util::TimePoint when, Callback fn, std::size_t shard = 0);
+  /// cancel().
+  EventId schedule(util::TimePoint when, Callback fn);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown event is
   /// a no-op (timers race with their own firing; that must be benign).
@@ -65,7 +42,6 @@ class EventQueue {
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
-  std::size_t shard_count() const { return heaps_.size(); }
 
   /// Time of the earliest pending event. Precondition: !empty().
   util::TimePoint next_time() const;
@@ -76,13 +52,11 @@ class EventQueue {
   /// Peak simultaneously-pending events over the queue's lifetime.
   std::size_t high_water() const { return slots_.high_water(); }
 
-  /// Bytes of heap state the queue holds (slot slabs + heap vectors). Exact
+  /// Bytes of heap state the queue holds (slot slabs + heap vector). Exact
   /// and deterministic; the scalability bench reports it.
   std::size_t state_bytes() const;
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   struct Slot {
     Callback fn;
     std::uint32_t generation = 0;
@@ -102,36 +76,13 @@ class EventQueue {
   void release_slot(std::uint32_t slot);
 
   // Heap maintenance is const so next_time() can purge stale (cancelled)
-  // tops; only the mutable heap vectors change, never the slot pool.
-  void sift_up(std::vector<HeapEntry>& heap, std::size_t i) const;
-  void sift_down(std::vector<HeapEntry>& heap, std::size_t i) const;
-  void heap_pop_top(std::vector<HeapEntry>& heap) const;
-  void drop_stale(std::vector<HeapEntry>& heap) const;
+  // tops; only the mutable heap vector changes, never the slot pool.
+  void sift_up(std::size_t i) const;
+  void sift_down(std::size_t i) const;
+  void heap_pop_top() const;
+  void drop_stale() const;
 
-  /// Cached (when, seq) of a shard's head, as last seen by the head index.
-  struct ShardKey {
-    util::TimePoint when;
-    std::uint64_t seq;
-  };
-  static bool earlier(const ShardKey& a, const ShardKey& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-
-  // Head-index maintenance (sharded mode only; empty at one shard).
-  void index_sift_up(std::size_t i) const;
-  void index_sift_down(std::size_t i) const;
-  void index_insert(std::uint32_t shard, ShardKey key) const;
-  void index_remove_root() const;
-  /// Normalizes the head index until its root names a shard whose cached
-  /// key equals its live head, and returns that shard — the holder of the
-  /// global (when, seq) minimum. Precondition: !empty().
-  std::size_t top_shard() const;
-
-  mutable std::vector<std::vector<HeapEntry>> heaps_;
-  mutable std::vector<ShardKey> shard_key_;       // valid iff in the index
-  mutable std::vector<std::uint32_t> shard_pos_;  // position or kNil
-  mutable std::vector<std::uint32_t> shard_heap_; // shard ids, min by key
+  mutable std::vector<HeapEntry> heap_;
   SlabPool<Slot> slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

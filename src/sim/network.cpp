@@ -74,7 +74,7 @@ void Network::send(util::ProcessId from, util::ProcessId to,
     rec.msg = std::move(msg);
     rec.from = from;
     rec.to = to;
-    sim_->after(util::microseconds(1), [this, idx] { deliver(idx); }, to);
+    sim_->after(util::microseconds(1), [this, idx] { deliver(idx); });
     return;
   }
 
@@ -119,7 +119,7 @@ void Network::send(util::ProcessId from, util::ProcessId to,
   rec.msg = std::move(msg);
   rec.from = from;
   rec.to = to;
-  sim_->at(arrival, [this, idx] { deliver(idx); }, to);
+  sim_->at(arrival, [this, idx] { deliver(idx); });
 }
 
 void Network::crash(util::ProcessId p) { crashed_.at(p) = 1; }

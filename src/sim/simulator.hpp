@@ -10,29 +10,20 @@ namespace modcast::sim {
 
 /// Owns the virtual clock and the event queue; runs events in deterministic
 /// order until a deadline, quiescence, or an explicit stop.
-///
-/// `shards` > 1 turns on per-shard event heaps (see event_queue.hpp);
-/// callers may then tag schedules with a shard hint — SimWorld uses one
-/// shard per simulated process. Sharding never changes the execution
-/// order: it is the same global (time, insertion sequence) either way.
 class Simulator {
  public:
-  explicit Simulator(std::size_t shards = 1) : queue_(shards) {}
 
   util::TimePoint now() const { return now_; }
 
-  /// Schedules at an absolute virtual time (clamped to now). `shard` is a
-  /// placement hint, meaningful only when constructed with shards > 1.
-  EventId at(util::TimePoint when, EventQueue::Callback fn,
-             std::size_t shard = 0) {
-    return queue_.schedule(std::max(when, now_), std::move(fn), shard);
+  /// Schedules at an absolute virtual time (clamped to now).
+  EventId at(util::TimePoint when, EventQueue::Callback fn) {
+    return queue_.schedule(std::max(when, now_), std::move(fn));
   }
 
   /// Schedules `delay` after now (negative delays are clamped to 0).
-  EventId after(util::Duration delay, EventQueue::Callback fn,
-                std::size_t shard = 0) {
+  EventId after(util::Duration delay, EventQueue::Callback fn) {
     return queue_.schedule(now_ + std::max<util::Duration>(delay, 0),
-                           std::move(fn), shard);
+                           std::move(fn));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
@@ -49,7 +40,6 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   std::size_t pending_events() const { return queue_.size(); }
-  std::size_t shard_count() const { return queue_.shard_count(); }
   /// Peak simultaneously-pending events (memory-scaling reports).
   std::size_t peak_pending_events() const { return queue_.high_water(); }
   /// Exact bytes of event-queue state held (memory-scaling reports).

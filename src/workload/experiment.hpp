@@ -40,10 +40,6 @@ struct WorkloadConfig {
   /// into RunResult::metrics. Passive: simulated event order and all default
   /// outputs are unchanged.
   bool collect_metrics = false;
-  /// Event-queue shards for the simulator (core::SimGroupConfig pass-
-  /// through). Any value runs the byte-identical event order; `n` shards
-  /// keep per-process heaps small at large group sizes.
-  std::size_t event_shards = 1;
 };
 
 /// Result of a single seeded execution.

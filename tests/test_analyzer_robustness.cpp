@@ -75,7 +75,7 @@ TEST(AnalyzerRobustness, CostcheckLinesAreExactUnderCrlfAndBom) {
   costcheck::Manifest manifest =
       costcheck::load_manifest(fixdir / "cost.toml");
   lifecheck::Manifest life;
-  life.events_registry = manifest.flow_registry;
+  life.events_registry = "events.hpp";
   lifecheck::FlowGraph flow;
   lifecheck::analyze(kRoot, life, &flow);
   costcheck::CostReport cost;

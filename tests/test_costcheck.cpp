@@ -21,17 +21,23 @@ fs::path fixture(const std::string& name) {
   return fs::path(COSTCHECK_FIXTURES) / name;
 }
 
-/// Runs the full standalone pipeline on a fixture: lifecheck extracts the
-/// flow graph from the fixture's registry, costcheck consumes it.
+/// Extracts a fixture's flow graph with lifecheck, as abcheck does for the
+/// real tree. Every fixture declares its registry in events.hpp.
+lifecheck::FlowGraph fixture_flow(const fs::path& dir) {
+  lifecheck::Manifest life;
+  life.events_registry = "events.hpp";
+  lifecheck::FlowGraph flow;
+  lifecheck::analyze(dir / "src", life, &flow);
+  return flow;
+}
+
+/// Runs the full pipeline on a fixture: lifecheck extracts the flow graph,
+/// costcheck consumes it.
 costcheck::Report run_fixture(const std::string& name,
                               costcheck::CostReport* cost = nullptr) {
   const fs::path dir = fixture(name);
   costcheck::Manifest manifest = costcheck::load_manifest(dir / "cost.toml");
-  lifecheck::Manifest life;
-  life.events_registry = manifest.flow_registry;
-  lifecheck::FlowGraph flow;
-  lifecheck::analyze(dir / "src", life, &flow);
-  return costcheck::analyze(dir / "src", manifest, flow, cost);
+  return costcheck::analyze(dir / "src", manifest, fixture_flow(dir), cost);
 }
 
 int count_rule(const costcheck::Report& r, const std::string& rule,
@@ -150,7 +156,6 @@ TEST(Costcheck, ManifestParses) {
   std::istringstream in(
       "# comment\n"
       "[model]\nfile = m.cpp\n"
-      "[flow]\nregistry = ev.hpp\n"
       "[stack s]\n"
       "modules = kModA kModB\n"
       "model = f(n, M)\n"
@@ -166,7 +171,6 @@ TEST(Costcheck, ManifestParses) {
       "count = resenders (n - 1) / 2\n");
   costcheck::Manifest m = costcheck::parse_manifest(in);
   EXPECT_EQ(m.model_file, "m.cpp");
-  EXPECT_EQ(m.flow_registry, "ev.hpp");
   ASSERT_EQ(m.stacks.size(), 1u);
   EXPECT_EQ(m.stacks[0].name, "s");
   EXPECT_EQ(m.stacks[0].modules.size(), 2u);
@@ -191,6 +195,13 @@ TEST(Costcheck, ManifestRejectsMalformedInput) {
     EXPECT_THROW(costcheck::parse_manifest(in), std::runtime_error);
   }
   {
+    // The flow graph comes from lifecheck's manifest; a stale cost.toml
+    // still carrying a [flow] section is an unknown section, not ignored.
+    std::istringstream in(
+        "[model]\nfile = m.cpp\n[flow]\nregistry = ev.hpp\n");
+    EXPECT_THROW(costcheck::parse_manifest(in), std::runtime_error);
+  }
+  {
     std::istringstream in("file = x\n");  // key outside a section
     EXPECT_THROW(costcheck::parse_manifest(in), std::runtime_error);
   }
@@ -211,10 +222,7 @@ TEST(Costcheck, ManifestRejectsMalformedInput) {
 TEST(Costcheck, StaleManifestIsHardError) {
   const fs::path dir = fixture("clean");
   costcheck::Manifest manifest = costcheck::load_manifest(dir / "cost.toml");
-  lifecheck::Manifest life;
-  life.events_registry = manifest.flow_registry;
-  lifecheck::FlowGraph flow;
-  lifecheck::analyze(dir / "src", life, &flow);
+  const lifecheck::FlowGraph flow = fixture_flow(dir);
   {
     costcheck::Manifest bad = manifest;
     bad.stacks[0].modules.push_back("kModGhost");

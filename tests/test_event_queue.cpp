@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <utility>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace modcast::sim {
 namespace {
@@ -161,67 +158,18 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(fired[i], i);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded mode. The contract: any shard count executes the byte-identical
-// (time, insertion-sequence) order as the single flat heap, whatever the
-// shard hints say.
-// ---------------------------------------------------------------------------
-
-TEST(EventQueue, ShardedPopsMatchFlatOrder) {
-  for (std::size_t shards : {2u, 3u, 7u, 16u}) {
-    EventQueue flat;
-    EventQueue sharded(shards);
-    EXPECT_EQ(sharded.shard_count(), shards);
-    std::vector<int> flat_order, sharded_order;
-    util::Rng rng(99);
-    for (int i = 0; i < 500; ++i) {
-      const auto when = static_cast<util::TimePoint>(rng.uniform(50));
-      flat.schedule(when, [&flat_order, i] { flat_order.push_back(i); });
-      sharded.schedule(when, [&sharded_order, i] { sharded_order.push_back(i); },
-                       i % shards);
-    }
-    while (!flat.empty()) flat.pop(nullptr)();
-    while (!sharded.empty()) sharded.pop(nullptr)();
-    EXPECT_EQ(sharded_order, flat_order) << "shards=" << shards;
-  }
-}
-
-TEST(EventQueue, ShardHintDoesNotAffectOrder) {
-  // The same schedule sequence under different (even adversarial) shard
-  // hints must pop identically: hints are placement, not priority.
-  auto run = [](std::size_t shards, std::size_t hint_mul) {
-    EventQueue q(shards);
-    std::vector<int> order;
-    util::Rng rng(7);
-    for (int i = 0; i < 300; ++i) {
-      const auto when = static_cast<util::TimePoint>(rng.uniform(20));
-      q.schedule(when, [&order, i] { order.push_back(i); },
-                 (static_cast<std::size_t>(i) * hint_mul) % shards);
-    }
-    while (!q.empty()) q.pop(nullptr)();
-    return order;
-  };
-  const auto a = run(5, 1);
-  const auto b = run(5, 3);
-  const auto c = run(9, 2);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
-TEST(EventQueue, ShardedCancelChurnStaysBounded) {
-  // Regression for the head-index design: per-message timer arm/cancel
-  // churn (the reliable-channel pattern) must not accumulate state. An
-  // earlier lazy-shadow head index grew without bound under exactly this
-  // load.
-  EventQueue q(8);
+TEST(EventQueue, CancelChurnStaysBounded) {
+  // Per-message timer arm/cancel churn (the reliable-channel pattern) must
+  // not accumulate state. Cancelled timeouts linger in the heap until they
+  // surface at the head, so the heap holds about one timeout horizon of
+  // stale entries; slots recycle on cancel, so the pool stays tiny.
+  EventQueue q;
   util::TimePoint now = 0;
   std::vector<int> fired;
   for (int i = 0; i < 20000; ++i) {
-    const std::size_t shard = static_cast<std::size_t>(i) % 8;
-    // Arm a timeout far out, schedule the "message", cancel the timeout —
-    // the cancelled entry sits in its shard heap as a stale head shadow.
-    const EventId timer = q.schedule(now + 1000, [] {}, shard);
-    q.schedule(now + 1, [&fired, i] { fired.push_back(i); }, shard);
+    // Arm a timeout far out, schedule the "message", cancel the timeout.
+    const EventId timer = q.schedule(now + 1000, [] {});
+    q.schedule(now + 1, [&fired, i] { fired.push_back(i); });
     q.cancel(timer);
     util::TimePoint when = 0;
     q.pop(&when)();
@@ -232,47 +180,6 @@ TEST(EventQueue, ShardedCancelChurnStaysBounded) {
   // Slots recycle: the pool never needed more than the handful live at once.
   EXPECT_LT(q.high_water(), 16u);
   EXPECT_LT(q.state_bytes(), std::size_t{1} << 16);
-}
-
-TEST(EventQueue, ShardedInterleavedCancelKeepsGlobalOrder) {
-  // Cancel heads, middles, and whole shards while popping; survivors must
-  // still come out in global (time, seq) order.
-  EventQueue q(4);
-  std::vector<std::pair<util::TimePoint, int>> fired;
-  std::vector<EventId> ids;
-  util::Rng rng(1234);
-  for (int i = 0; i < 400; ++i) {
-    const auto when = static_cast<util::TimePoint>(rng.uniform(97));
-    ids.push_back(q.schedule(
-        when, [&fired, when, i] { fired.emplace_back(when, i); },
-        static_cast<std::size_t>(rng.uniform(4))));
-  }
-  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
-  // Shard 2 drains mid-run too: cancel a prefix of survivors.
-  for (std::size_t i = 1; i < ids.size() / 2; i += 3) q.cancel(ids[i]);
-  util::TimePoint prev = 0;
-  int prev_seq = -1;
-  while (!q.empty()) {
-    util::TimePoint when = 0;
-    q.pop(&when)();
-    EXPECT_GE(when, prev);
-    prev = when;
-  }
-  for (const auto& [when, seq] : fired) {
-    if (when == prev) EXPECT_GT(seq, prev_seq);
-  }
-}
-
-TEST(EventQueue, ShardedEmptyAndRefillShards) {
-  // Shards leave the head index when drained and must re-enter cleanly.
-  EventQueue q(3);
-  std::vector<int> order;
-  q.schedule(1, [&] { order.push_back(1); }, 2);
-  while (!q.empty()) q.pop(nullptr)();
-  q.schedule(2, [&] { order.push_back(2); }, 2);
-  q.schedule(3, [&] { order.push_back(3); }, 0);
-  while (!q.empty()) q.pop(nullptr)();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

@@ -137,8 +137,8 @@ TEST(ModcheckReport, JsonContainsSummaryAndDiagnostics) {
 }
 
 // The repo's own manifest must stay loadable and the real tree clean; this
-// duplicates the modcheck_src CTest entry at the library level so a broken
-// manifest fails unit tests too, with a readable report.
+// duplicates the abcheck_src CTest entry's modcheck run at the library level
+// so a broken manifest fails unit tests too, with a readable report.
 TEST(ModcheckRepo, RealTreeHasNoUnsuppressedViolations) {
   fs::path repo_src = fs::path(MODCHECK_REPO_ROOT) / "src";
   fs::path manifest =

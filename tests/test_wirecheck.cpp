@@ -165,8 +165,8 @@ TEST(WirecheckReport, JsonNamesToolAndRules) {
 }
 
 // The repo's own wire manifest must stay loadable and the real tree clean;
-// this duplicates the wirecheck_src CTest entry at the library level so a
-// broken manifest fails unit tests too, with a readable report.
+// this duplicates the abcheck_src CTest entry's wirecheck run at the library
+// level so a broken manifest fails unit tests too, with a readable report.
 TEST(WirecheckRepo, RealTreeHasNoUnsuppressedViolations) {
   fs::path repo_src = fs::path(WIRECHECK_REPO_ROOT) / "src";
   fs::path manifest =

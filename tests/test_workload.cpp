@@ -65,28 +65,6 @@ TEST(Experiment, DeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.latencies_ms.mean(), b.latencies_ms.mean());
 }
 
-TEST(Experiment, EventShardingIsByteIdentical) {
-  // The full protocol stack, timers, CPU model, and network under k-sharded
-  // event queues must replay the byte-identical execution as the flat heap:
-  // sharding is placement, the (time, insertion-seq) order is global.
-  core::StackOptions stack;
-  for (auto kind : {core::StackKind::kModular, core::StackKind::kMonolithic}) {
-    stack.kind = kind;
-    WorkloadConfig flat = quick(800, 1024);
-    WorkloadConfig sharded = flat;
-    sharded.event_shards = 5;  // one shard per process at n = 5
-    auto a = run_once(5, stack, flat, 17);
-    auto b = run_once(5, stack, sharded, 17);
-    EXPECT_EQ(a.unique_delivered, b.unique_delivered) << core::to_string(kind);
-    EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-    EXPECT_DOUBLE_EQ(a.latencies_ms.mean(), b.latencies_ms.mean());
-    EXPECT_EQ(a.instances, b.instances);
-    EXPECT_DOUBLE_EQ(a.protocol_bytes_per_abcast, b.protocol_bytes_per_abcast);
-    EXPECT_EQ(a.peak_pending_events, b.peak_pending_events);
-    EXPECT_EQ(a.peak_in_flight_msgs, b.peak_in_flight_msgs);
-  }
-}
-
 TEST(Experiment, AggregateProducesConfidenceIntervals) {
   core::StackOptions stack;
   stack.kind = core::StackKind::kModular;

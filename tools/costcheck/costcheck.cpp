@@ -86,7 +86,7 @@ Phase parse_phase_value(const std::string& value, int lineno) {
 
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  enum class Sec { kNone, kModel, kFlow, kStack, kQuorum };
+  enum class Sec { kNone, kModel, kStack, kQuorum };
   Sec sec = Sec::kNone;
   std::string raw;
   int lineno = 0;
@@ -108,8 +108,6 @@ Manifest parse_manifest(std::istream& in) {
           sp == std::string::npos ? "" : analyzer::trim(name.substr(sp + 1));
       if (kind == "model" && arg.empty()) {
         sec = Sec::kModel;
-      } else if (kind == "flow" && arg.empty()) {
-        sec = Sec::kFlow;
       } else if (kind == "stack" && !arg.empty()) {
         sec = Sec::kStack;
         m.stacks.push_back(StackSpec{});
@@ -140,10 +138,6 @@ Manifest parse_manifest(std::istream& in) {
                                  ": key outside any section");
       case Sec::kModel:
         if (key == "file") m.model_file = value;
-        else throw bad_key();
-        break;
-      case Sec::kFlow:
-        if (key == "registry") m.flow_registry = value;
         else throw bad_key();
         break;
       case Sec::kStack: {

@@ -104,12 +104,11 @@ struct QuorumSpec {
 
 struct Manifest {
   std::string model_file;     ///< analytical model source, relative to root
-  std::string flow_registry;  ///< event registry path (standalone flow pass)
   std::vector<StackSpec> stacks;
   std::vector<QuorumSpec> quorums;
 };
 
-/// Parses a cost.toml-style manifest ([model], [flow], [stack <name>],
+/// Parses a cost.toml-style manifest ([model], [stack <name>],
 /// [quorum <unit>] sections). Throws std::runtime_error with a
 /// "<line>: message" description.
 Manifest parse_manifest(std::istream& in);
