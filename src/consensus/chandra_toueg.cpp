@@ -27,6 +27,8 @@ constexpr std::uint8_t kDecisionFull = 11;
 
 void ChandraTouegConsensus::init(framework::Stack& stack) {
   stack_ = &stack;
+  rounds_.init(stack.group_size(), stack.self(),
+               fd_ != nullptr ? &fd_->suspected() : nullptr);
   stack.bind_wire(framework::kModConsensus,
                   [this](util::ProcessId from, util::Payload msg) {
                     on_wire(from, std::move(msg));
@@ -52,135 +54,68 @@ bool ChandraTouegConsensus::value_ok(std::uint64_t k,
   return !validator_ || validator_(k, value);
 }
 
-util::ProcessId ChandraTouegConsensus::coordinator(std::uint32_t round) const {
-  return (round - 1) % static_cast<std::uint32_t>(stack_->group_size());
-}
-
-std::size_t ChandraTouegConsensus::majority() const {
-  return stack_->group_size() / 2 + 1;
-}
-
-bool ChandraTouegConsensus::suspects(util::ProcessId q) const {
-  return fd_ != nullptr && fd_->suspects(q);
-}
-
-ChandraTouegConsensus::Instance& ChandraTouegConsensus::instance(
-    std::uint64_t k) {
-  auto [it, inserted] = instances_.try_emplace(k);
-  if (inserted) {
-    it->second.k = k;
-    // Born decided: with pipelined callers an instance may be touched after
-    // its decision arrived (and its bookkeeping was pruned); it must not
-    // look open, or stale round machinery could run for it.
-    if (decisions_.count(k) != 0) it->second.decided = true;
-    std::size_t open = 0;
-    for (const auto& [kk, other] : instances_) {
-      if (!other.decided) ++open;
-    }
-    stats_.max_open_instances =
-        std::max<std::uint64_t>(stats_.max_open_instances, open);
-  }
-  return it->second;
-}
-
-void ChandraTouegConsensus::record_estimate(Instance& inst,
-                                            std::uint32_t round,
-                                            util::ProcessId sender,
-                                            std::uint32_t ts,
-                                            util::Bytes value) {
-  auto& ests = inst.estimates[round];
-  for (auto& e : ests) {
-    if (e.sender == sender) {
-      e.ts = ts;
-      e.value = std::move(value);
-      return;
-    }
-  }
-  ests.push_back(Instance::EstimateEntry{sender, ts, std::move(value)});
-}
-
-const util::Bytes* ChandraTouegConsensus::decision(std::uint64_t k) const {
-  auto it = decisions_.find(k);
-  return it == decisions_.end() ? nullptr : &it->second;
-}
-
 void ChandraTouegConsensus::propose(std::uint64_t k, util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  if (inst.has_initial) return;  // initial value already bound
-  inst.has_initial = true;
-  inst.estimate = std::move(value);
-  inst.estimate_ts = 0;
+  Instance* inst = rounds_.open(k);
+  // Decided, or an initial value is already bound.
+  if (inst == nullptr || inst->has_estimate) return;
+  inst->set_initial(std::move(value));
 
   // Single-process group: trivially decide. Deferred through a zero-delay
   // timer so a decide → propose(k+1) → decide chain cannot recurse.
   if (stack_->group_size() == 1) {
     // lifecheck:allow(timer.lost): zero-delay trampoline fires before any cancel path could need its id
     stack_->rt().set_timer(0, [this, k] {
-      auto it = instances_.find(k);
-      if (it == instances_.end() || it->second.decided) return;
-      decide_local(k, it->second.estimate);
+      if (Instance* open = rounds_.find(k)) decide_local(k, open->estimate);
     });
     return;
   }
 
-  if (stack_->self() == coordinator(1) && inst.round == 1 &&
-      inst.proposed_rounds.count(1) == 0 && !inst.decided) {
-    do_propose(inst, 1, inst.estimate);
+  if (stack_->self() == rounds_.coordinator(1) && inst->round == 1 &&
+      !inst->proposed(1)) {
+    do_propose(*inst, 1, inst->estimate);
     return;
   }
 
   // Participant paths: catch up on anything that already happened.
-  if (!inst.decided && inst.round > 1 && stack_->self() != coordinator(inst.round) &&
-      inst.estimate_sent.count(inst.round) == 0) {
-    send_estimate(inst, inst.round, coordinator(inst.round));
+  if (inst->round > 1 && stack_->self() != rounds_.coordinator(inst->round)) {
+    send_estimate(*inst, inst->round, rounds_.coordinator(inst->round));
   }
-  if (!inst.decided && inst.round == 1) {
-    if (suspects(coordinator(1))) {
+  if (inst->round == 1) {
+    if (rounds_.suspects(rounds_.coordinator(1))) {
       // Tell the round-1 coordinator we are moving on — it may be alive
       // (wrong suspicion) and waiting for our ack.
-      if (inst.acked_rounds.count(1) == 0 &&
-          inst.nacked_rounds.insert(1).second) {
-        util::ByteWriter w(16);
-        w.u8(kNack);
-        w.u64(k);
-        w.u32(1);
-        framework::TraceScope scope(*stack_, k, 0);
-        stack_->send_wire(coordinator(1), framework::kModConsensus,
-                          w.take());
-        ++stats_.nacks_sent;
-      }
-      advance_round(inst);
-    } else if (inst.proposals.count(1) == 0) {
-      arm_nudge(inst);
+      if (rounds_.nack_once(*inst, 1)) send_nack(rounds_.coordinator(1), k, 1);
+      rotate(*inst);
+    } else if (inst->proposal(1) == nullptr) {
+      arm_nudge(*inst);
     }
   }
 }
 
 void ChandraTouegConsensus::arm_nudge(Instance& inst) {
-  if (inst.nudge_timer != runtime::kInvalidTimer) return;
+  if (inst.extra.nudge_timer != runtime::kInvalidTimer) return;
   const std::uint64_t k = inst.k;
-  inst.nudge_timer = stack_->rt().set_timer(
+  inst.extra.nudge_timer = stack_->rt().set_timer(
       config_.proposal_nudge_timeout, [this, k] {
-        auto it = instances_.find(k);
-        if (it == instances_.end()) return;
-        Instance& inst = it->second;
-        inst.nudge_timer = runtime::kInvalidTimer;
-        if (inst.decided || inst.round != 1 || inst.proposals.count(1) != 0 ||
-            !inst.has_initial) {
+        Instance* inst = rounds_.find(k);
+        if (inst == nullptr) return;
+        inst->extra.nudge_timer = runtime::kInvalidTimer;
+        if (inst->round != 1 || inst->proposal(1) != nullptr ||
+            !inst->has_estimate) {
           return;
         }
         // Re-introduce the estimate phase: hand the coordinator a value.
-        util::ByteWriter w(inst.estimate.size() + 32);
+        util::ByteWriter w(inst->estimate.size() + 32);
         w.u8(kEstimate);
-        w.u64(inst.k);
+        w.u64(k);
         w.u32(1);
-        w.u32(inst.estimate_ts);
-        w.blob(inst.estimate);
+        w.u32(inst->estimate_ts);
+        w.blob(inst->estimate);
         framework::TraceScope scope(*stack_, k, 0);
-        stack_->send_wire(coordinator(1), framework::kModConsensus, w.take());
+        stack_->send_wire(rounds_.coordinator(1), framework::kModConsensus,
+                          w.take());
         ++stats_.nudges_sent;
-        arm_nudge(inst);  // keep nudging until the proposal shows up
+        arm_nudge(*inst);  // keep nudging until the proposal shows up
       });
 }
 
@@ -191,27 +126,22 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
-  inst.proposed_rounds.insert(round);
-  inst.proposals[round] = value;
-  inst.estimate = value;
-  inst.estimate_ts = round;
-  inst.has_initial = true;
-  inst.ack_senders[round];  // ensure present; self-ack is counted implicitly
+  rounds_.propose(inst, round, std::move(value));
+  const util::Bytes& proposal = *inst.proposal(round);
 
-  util::ByteWriter w(value.size() + 16);
+  util::ByteWriter w(proposal.size() + 16);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
-  w.blob(value);
+  w.blob(proposal);
   stack_->send_wire_to_others(framework::kModConsensus, w.take());
 
-  maybe_decide_as_coordinator(inst, round);
+  if (rounds_.quorum(inst, round)) broadcast_decision(inst, round);
 }
 
 void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
                                           util::ProcessId coord) {
-  if (!inst.has_initial) return;  // nothing to estimate yet
-  if (!inst.estimate_sent.insert(round).second) return;
+  if (!rounds_.claim_estimate(inst, round)) return;  // none yet, or sent
   util::ByteWriter w(inst.estimate.size() + 32);
   w.u8(kEstimate);
   w.u64(inst.k);
@@ -222,49 +152,48 @@ void ChandraTouegConsensus::send_estimate(Instance& inst, std::uint32_t round,
   stack_->send_wire(coord, framework::kModConsensus, w.take());
 }
 
-void ChandraTouegConsensus::advance_round(Instance& inst) {
-  while (!inst.decided) {
-    ++inst.round;
-    const util::ProcessId c = coordinator(inst.round);
-    if (c == stack_->self()) {
-      if (inst.has_initial && inst.own_estimate_added.insert(inst.round).second) {
-        record_estimate(inst, inst.round, stack_->self(), inst.estimate_ts,
-                        inst.estimate);
-      }
-      check_estimates(inst, inst.round);
-      return;  // we are the coordinator: wait for (more) estimates
+void ChandraTouegConsensus::send_nack(util::ProcessId to, std::uint64_t k,
+                                      std::uint32_t round) {
+  util::ByteWriter w(16);
+  w.u8(kNack);
+  w.u64(k);
+  w.u32(round);
+  framework::TraceScope scope(*stack_, k, 0);
+  stack_->send_wire(to, framework::kModConsensus, w.take());
+  ++stats_.nacks_sent;
+}
+
+void ChandraTouegConsensus::rotate(Instance& inst) {
+  for (const rounds::Step& s : rounds_.rotate(inst)) {
+    if (s.to == stack_->self()) {
+      // We coordinate: wait for (more) estimates. May decide, which
+      // releases inst.
+      rounds_.record_own(inst, s.round);
+      check_estimates(inst, s.round);
+      return;
     }
-    send_estimate(inst, inst.round, c);
-    if (!suspects(c)) return;  // wait for this round's coordinator
-    // Already suspected: tell it we moved on and keep rotating. The loop
-    // terminates because our own id comes up within n rounds.
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(inst.round);
-    framework::TraceScope scope(*stack_, inst.k, 0);
-    stack_->send_wire(c, framework::kModConsensus, w.take());
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(inst.round);
+    send_estimate(inst, s.round, s.to);
+    // A suspected coordinator: tell it we moved on.
+    if (s.nack) send_nack(s.to, inst.k, s.round);
   }
 }
 
 void ChandraTouegConsensus::check_estimates(Instance& inst,
                                             std::uint32_t round) {
-  if (inst.decided || coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) != 0) return;
-
-  auto it = inst.estimates.find(round);
-  if (it == inst.estimates.end()) return;
-  auto& ests = it->second;
+  rounds::Round* r = inst.find(round);
+  if (rounds_.coordinator(round) != stack_->self() || inst.proposed(round) ||
+      r == nullptr || r->estimates.empty()) {
+    return;
+  }
+  const std::vector<rounds::Estimate>& ests = r->estimates;
 
   if (round == 1) {
     // Round 1 normally has no estimate phase; estimates only arrive via the
     // nudge path, when the coordinator itself has no initial value. Adopt
     // the first nudged value (ts is always 0 in round 1).
-    if (!inst.has_initial && !ests.empty() && inst.round == 1) {
+    if (!inst.has_estimate && inst.round == 1) {
       if (!value_ok(inst.k, ests.front().value)) {
-        inst.pending_propose = {1u, ests.front().value};
+        inst.extra.propose = {1u, ests.front().value};
         return;
       }
       do_propose(inst, 1, ests.front().value);
@@ -272,11 +201,12 @@ void ChandraTouegConsensus::check_estimates(Instance& inst,
     return;
   }
 
-  if (ests.size() < majority()) {
+  if (ests.size() < rounds_.majority()) {
     // Recovery rounds need majority participation, but only processes that
     // themselves suspected earlier coordinators have joined so far. Ask the
     // others for their estimates (once per round).
-    if (inst.solicited_rounds.insert(round).second) {
+    if (!r->solicited) {
+      r->solicited = true;
       util::ByteWriter w(16);
       w.u8(kSolicit);
       w.u64(inst.k);
@@ -298,31 +228,34 @@ void ChandraTouegConsensus::check_estimates(Instance& inst,
   // Locking forces this value; if the layer above cannot act on it yet,
   // defer the proposal until revalidation (the validator starts recovery).
   if (!value_ok(inst.k, best->value)) {
-    inst.pending_propose = {round, best->value};
+    inst.extra.propose = {round, best->value};
     return;
   }
-  inst.round = std::max(inst.round, round);
   do_propose(inst, round, best->value);
+}
+
+bool ChandraTouegConsensus::send_decision(util::ProcessId to,
+                                          std::uint64_t k) {
+  const rounds::Decided* d = rounds_.decision(k);
+  if (d == nullptr) return false;
+  util::ByteWriter w(d->value.size() + 16);
+  w.u8(kFull);
+  w.u64(k);
+  w.blob(d->value);
+  framework::TraceScope scope(*stack_, k, 0);
+  stack_->send_wire(to, framework::kModConsensus, w.take());
+  return true;
 }
 
 void ChandraTouegConsensus::on_solicit(util::ProcessId from, std::uint64_t k,
                                        std::uint32_t round) {
-  auto dit = decisions_.find(k);
-  if (dit != decisions_.end()) {
-    // The solicitor lags: hand it the decision directly.
-    util::ByteWriter w(dit->second.size() + 16);
-    w.u8(kFull);
-    w.u64(k);
-    w.blob(dit->second);
-    framework::TraceScope scope(*stack_, k, 0);
-    stack_->send_wire(from, framework::kModConsensus, w.take());
-    return;
-  }
-  Instance& inst = instance(k);
-  if (inst.decided) return;
-  if (round > inst.round) inst.round = round;  // join the recovery round
-  if (inst.has_initial) {
-    send_estimate(inst, round, from);
+  // The solicitor lags: hand it the decision directly.
+  if (send_decision(from, k)) return;
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;  // decided, value no longer retained
+  if (round > inst->round) inst->round = round;  // join the recovery round
+  if (inst->has_estimate) {
+    send_estimate(*inst, round, from);
   } else {
     // We never proposed for this instance: ask the layer above for an
     // initial value (it may legitimately be an empty batch). Its propose()
@@ -330,15 +263,6 @@ void ChandraTouegConsensus::on_solicit(util::ProcessId from, std::uint64_t k,
     stack_->raise(framework::Event::local(
         framework::kEvProposeRequest, framework::ProposeRequestBody{k}));
   }
-}
-
-void ChandraTouegConsensus::maybe_decide_as_coordinator(Instance& inst,
-                                                        std::uint32_t round) {
-  if (inst.decided || inst.proposed_rounds.count(round) == 0) return;
-  // +1: the coordinator implicitly acks its own proposal.
-  const std::size_t acks = inst.ack_senders[round].size() + 1;
-  if (acks < majority()) return;
-  broadcast_decision(inst, round);
 }
 
 void ChandraTouegConsensus::broadcast_decision(Instance& inst,
@@ -354,10 +278,11 @@ void ChandraTouegConsensus::broadcast_decision(Instance& inst,
     w.u8(kDecisionFull);
     w.u64(inst.k);
     w.u32(round);
-    w.blob(inst.proposals[round]);
+    w.blob(*inst.proposal(round));
   }
   // Hand the decision to the reliable broadcast module. Local rdelivery is
-  // synchronous, so this call chain ends in decide_local() for ourselves.
+  // synchronous, so this call chain ends in decide_local() for ourselves,
+  // which releases inst.
   // The scope annotates the rbcast module's initial fan-out with instance k
   // (decisions carry no app payload, hence app_bytes 0).
   framework::TraceScope scope(*stack_, inst.k, 0);
@@ -366,41 +291,25 @@ void ChandraTouegConsensus::broadcast_decision(Instance& inst,
 }
 
 void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
-  decisions_[k] = value;
+  if (rounds_.decided(k)) return;
   ++stats_.decided;
-
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    Instance& inst = it->second;
-    inst.decided = true;
-    stats_.max_round = std::max(stats_.max_round, inst.round);
-    if (inst.round > 1) ++stats_.late_decisions;
-    if (inst.nudge_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.nudge_timer);
-      inst.nudge_timer = runtime::kInvalidTimer;
+  std::uint32_t round = 0;
+  if (Instance* inst = rounds_.find(k)) {
+    round = inst->round;
+    stats_.max_round = std::max(stats_.max_round, round);
+    if (round > 1) ++stats_.late_decisions;
+    if (inst->extra.nudge_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->extra.nudge_timer);
     }
-    if (inst.pull_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.pull_timer);
-      inst.pull_timer = runtime::kInvalidTimer;
+    if (inst->extra.pull_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->extra.pull_timer);
     }
   }
+  rounds_.decide(k, round, value);
 
   stack_->raise(framework::Event::local(
       framework::kEvDecide,
       framework::ConsensusValueBody{k, std::move(value)}));
-  prune(k);
-}
-
-void ChandraTouegConsensus::prune(std::uint64_t except_k) {
-  // Never erase `except_k`: callers up the stack may hold a reference to it.
-  while (decisions_.size() > config_.decision_retention) {
-    const std::uint64_t oldest = decisions_.begin()->first;
-    if (oldest == except_k) break;
-    decisions_.erase(decisions_.begin());
-    auto it = instances_.find(oldest);
-    if (it != instances_.end() && it->second.decided) instances_.erase(it);
-  }
 }
 
 void ChandraTouegConsensus::start_pull(Instance& inst) {
@@ -414,12 +323,12 @@ void ChandraTouegConsensus::start_pull(Instance& inst) {
   stats_.pulls_sent += stack_->group_size() - 1;
 
   const std::uint64_t k = inst.k;
-  inst.pull_timer =
+  inst.extra.pull_timer =
       stack_->rt().set_timer(config_.pull_retry, [this, k] {
-        auto it = instances_.find(k);
-        if (it == instances_.end() || it->second.decided) return;
-        it->second.pull_timer = runtime::kInvalidTimer;
-        start_pull(it->second);
+        Instance* inst = rounds_.find(k);
+        if (inst == nullptr) return;
+        inst->extra.pull_timer = runtime::kInvalidTimer;
+        start_pull(*inst);
       });
 }
 
@@ -454,7 +363,7 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
       break;
     }
     case kPull:
-      on_pull(from, r.u64());
+      send_decision(from, r.u64());
       break;
     case kSolicit: {
       const std::uint64_t k = r.u64();
@@ -464,7 +373,7 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
     }
     case kFull: {
       const std::uint64_t k = r.u64();
-      if (decisions_.count(k) == 0) decide_local(k, r.blob());
+      decide_local(k, r.blob());
       break;
     }
     default:
@@ -475,156 +384,109 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
 void ChandraTouegConsensus::on_estimate(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round, std::uint32_t ts,
                                         util::Bytes value) {
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  record_estimate(inst, round, from, ts, std::move(value));
-  check_estimates(inst, round);
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;
+  inst->at(round).record(from, ts, std::move(value));
+  check_estimates(*inst, round);
 }
 
 void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round,
                                         util::Bytes value) {
-  Instance& inst = instance(k);
-  inst.proposals[round] = std::move(value);
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;
+  inst->at(round).proposal = std::move(value);
 
-  if (inst.nudge_timer != runtime::kInvalidTimer && round == 1) {
-    stack_->rt().cancel_timer(inst.nudge_timer);
-    inst.nudge_timer = runtime::kInvalidTimer;
+  if (inst->extra.nudge_timer != runtime::kInvalidTimer && round == 1) {
+    stack_->rt().cancel_timer(inst->extra.nudge_timer);
+    inst->extra.nudge_timer = runtime::kInvalidTimer;
   }
 
   // A pending DECISION tag for this round resolves now.
-  if (!inst.decided && inst.pending_tag_round &&
-      *inst.pending_tag_round == round) {
-    decide_local(k, inst.proposals[round]);
-    return;
-  }
-  if (inst.decided || decisions_.count(k) != 0) return;
-
-  if (round < inst.round) {
-    // Stale proposal from a coordinator we moved past (e.g. we advanced on
-    // a wrong suspicion before its proposal arrived). Nack so it advances
-    // too instead of waiting for our ack forever.
-    if (inst.acked_rounds.count(round) == 0 &&
-        inst.nacked_rounds.insert(round).second) {
-      util::ByteWriter w(16);
-      w.u8(kNack);
-      w.u64(k);
-      w.u32(round);
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModConsensus, w.take());
-      ++stats_.nacks_sent;
-    }
-    return;
-  }
-  if (round > inst.round) inst.round = round;  // catch up
-  if (inst.acked_rounds.count(round) != 0 ||
-      inst.nacked_rounds.count(round) != 0) {
+  if (inst->extra.tag_round == round) {
+    decide_local(k, *inst->proposal(round));
     return;
   }
 
-  if (suspects(coordinator(round))) {
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModConsensus, w.take());
-    }
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(round);
-    advance_round(inst);
-    return;
+  switch (rounds_.admit(*inst, round)) {
+    case rounds::Admission::kStale:
+      send_nack(from, k, round);
+      return;
+    case rounds::Admission::kAnswered:
+    case rounds::Admission::kAcked:
+      return;
+    case rounds::Admission::kSuspected:
+      send_nack(from, k, round);
+      rotate(*inst);
+      return;
+    case rounds::Admission::kAdopt:
+      break;
   }
-
   // Extended-specification gate ([12]): do not ack a value the layer above
   // cannot act on yet (e.g. ids whose payloads we miss). The validator
   // initiates whatever recovery it needs and raises kEvRevalidate later.
-  if (!value_ok(k, inst.proposals[round])) {
-    inst.pending_ack_round = round;
+  if (!value_ok(k, *inst->proposal(round))) {
+    inst->extra.ack_round = round;
     return;
   }
-  adopt_and_ack(inst, round);
+  adopt_and_ack(*inst, round);
 }
 
 void ChandraTouegConsensus::adopt_and_ack(Instance& inst,
                                           std::uint32_t round) {
   // Chandra–Toueg: estimate := v, ts := r, then ack to the coordinator.
-  inst.estimate = inst.proposals[round];
-  inst.estimate_ts = round;
-  inst.has_initial = true;
-  inst.acked_rounds.insert(round);
-  inst.pending_ack_round.reset();
+  rounds_.adopt(inst, round);
+  inst.extra.ack_round.reset();
   util::ByteWriter w(16);
   w.u8(kAck);
   w.u64(inst.k);
   w.u32(round);
   framework::TraceScope scope(*stack_, inst.k, 0);
-  stack_->send_wire(coordinator(round), framework::kModConsensus, w.take());
+  stack_->send_wire(rounds_.coordinator(round), framework::kModConsensus,
+                    w.take());
 }
 
 void ChandraTouegConsensus::on_revalidate(std::uint64_t k) {
-  auto it = instances_.find(k);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decided || decisions_.count(k) != 0) return;
+  Instance* inst = rounds_.find(k);
+  if (inst == nullptr) return;
 
   // Deferred ack: the proposal for our current round may validate now.
-  if (inst.pending_ack_round && *inst.pending_ack_round == inst.round &&
-      inst.acked_rounds.count(inst.round) == 0 &&
-      inst.nacked_rounds.count(inst.round) == 0) {
-    auto pit = inst.proposals.find(inst.round);
-    if (pit != inst.proposals.end() && value_ok(k, pit->second)) {
-      adopt_and_ack(inst, inst.round);
-    }
+  const rounds::Round* r = inst->find(inst->round);
+  if (inst->extra.ack_round == inst->round && r != nullptr && !r->acked &&
+      !r->nacked && r->proposal && value_ok(k, *r->proposal)) {
+    adopt_and_ack(*inst, inst->round);
   }
 
   // Deferred proposal: the locked value we must propose may validate now.
-  if (inst.pending_propose) {
-    const std::uint32_t round = inst.pending_propose->first;
-    if (coordinator(round) == stack_->self() &&
-        inst.proposed_rounds.count(round) == 0 &&
-        value_ok(k, inst.pending_propose->second)) {
-      util::Bytes value = std::move(inst.pending_propose->second);
-      inst.pending_propose.reset();
-      inst.round = std::max(inst.round, round);
-      do_propose(inst, round, std::move(value));
+  if (inst->extra.propose) {
+    const std::uint32_t round = inst->extra.propose->first;
+    if (rounds_.coordinator(round) == stack_->self() &&
+        !inst->proposed(round) && value_ok(k, inst->extra.propose->second)) {
+      util::Bytes value = std::move(inst->extra.propose->second);
+      inst->extra.propose.reset();
+      do_propose(*inst, round, std::move(value));
     }
   }
 }
 
 void ChandraTouegConsensus::on_ack(util::ProcessId from, std::uint64_t k,
                                    std::uint32_t round) {
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  if (coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) == 0) return;
-  inst.ack_senders[round].insert(from);
-  maybe_decide_as_coordinator(inst, round);
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;
+  if (rounds_.ack(*inst, round, from)) broadcast_decision(*inst, round);
 }
 
 void ChandraTouegConsensus::on_nack(util::ProcessId from, std::uint64_t k,
                                     std::uint32_t round) {
   (void)from;
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  if (coordinator(round) != stack_->self()) return;
-  if (inst.decided) return;
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;
   // Our round failed; move on as a participant of later rounds. A decision
   // can still complete if a majority of acks arrives afterwards — that is
   // safe (the value is locked by the majority).
-  if (inst.round == round) advance_round(inst);
-}
-
-void ChandraTouegConsensus::on_pull(util::ProcessId from, std::uint64_t k) {
-  auto it = decisions_.find(k);
-  if (it == decisions_.end()) return;
-  util::ByteWriter w(it->second.size() + 16);
-  w.u8(kFull);
-  w.u64(k);
-  w.blob(it->second);
-  framework::TraceScope scope(*stack_, k, 0);
-  stack_->send_wire(from, framework::kModConsensus, w.take());
+  if (rounds_.coordinator(round) == stack_->self() && inst->round == round) {
+    rotate(*inst);
+  }
 }
 
 void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
@@ -635,20 +497,19 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
   if (kind == kDecisionTag) {
     const std::uint64_t k = r.u64();
     const std::uint32_t round = r.u32();
-    if (decisions_.count(k) != 0) return;
-    Instance& inst = instance(k);
-    auto pit = inst.proposals.find(round);
-    if (pit != inst.proposals.end()) {
-      decide_local(k, pit->second);
+    Instance* inst = rounds_.open(k);
+    if (inst == nullptr) return;
+    if (const util::Bytes* value = inst->proposal(round)) {
+      decide_local(k, *value);
     } else {
       // We never saw the proposal the tag refers to: pull the full value.
-      inst.pending_tag_round = round;
-      if (inst.pull_timer == runtime::kInvalidTimer) start_pull(inst);
+      inst->extra.tag_round = round;
+      if (inst->extra.pull_timer == runtime::kInvalidTimer) start_pull(*inst);
     }
   } else if (kind == kDecisionFull) {
     const std::uint64_t k = r.u64();
     r.u32();  // round (diagnostic only)
-    if (decisions_.count(k) == 0) decide_local(k, r.blob());
+    decide_local(k, r.blob());
   } else {
     MODCAST_WARN("consensus: unknown rdeliver kind " + std::to_string(kind));
   }
@@ -657,29 +518,13 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
 void ChandraTouegConsensus::on_suspect(util::ProcessId q) {
   // Move every undecided instance whose current coordinator is q to the
   // next round (the paper's "new round starts only if the coordinator is
-  // suspected"). Advancing a round can synchronously decide and prune, so
-  // iterate a snapshot of keys, re-looking each one up.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(instances_.size());
-  for (const auto& [k, inst] : instances_) keys.push_back(k);
-  for (std::uint64_t k : keys) {
-    auto it = instances_.find(k);
-    if (it == instances_.end()) continue;
-    Instance& inst = it->second;
-    if (inst.decided) continue;
-    if (coordinator(inst.round) != q) continue;
-    if (q == stack_->self()) continue;  // never suspect self
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(inst.round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(q, framework::kModConsensus, w.take());
-    }
-    ++stats_.nacks_sent;
-    inst.nacked_rounds.insert(inst.round);
-    advance_round(inst);
+  // suspected"). Rotating can synchronously decide other instances, so the
+  // engine re-checks each one before it is abandoned.
+  for (std::uint64_t k : rounds_.coordinated_by(q)) {
+    Instance* inst = rounds_.abandon(k, q);
+    if (inst == nullptr) continue;
+    send_nack(q, k, inst->round);
+    rotate(*inst);
   }
 }
 

@@ -29,23 +29,19 @@
 // from the failure detector (kEvSuspect). The value is an opaque byte blob —
 // the consensus module never interprets it (black-box modularity).
 //
-// Concurrent instances: all protocol state is keyed by instance number in
-// `instances_` (per-instance rounds, estimates, timers), so a pipelined
-// caller may run any number of instances at once — decisions can complete
-// in any order and nothing bleeds across instances. Estimates are keyed by
-// sender within a round (a refreshed estimate replaces the stale one), and
-// an instance touched after its decision already arrived is born decided.
+// Round machinery: rounds::RoundEngine, shared with the monolithic stack,
+// keys every instance's rounds, estimates, acks and decision by instance
+// number, so a pipelined caller may run any number of instances at once.
+// This file keeps the wire encoding, send sites, timers, value-choice and
+// solicit rules and the validator gate.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
-#include <vector>
 
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
-#include "util/seq_tracker.hpp"
+#include "rounds/round_engine.hpp"
 
 namespace modcast::consensus {
 
@@ -69,7 +65,6 @@ struct ConsensusStats {
   std::uint64_t pulls_sent = 0;
   std::uint64_t nudges_sent = 0;
   std::uint64_t nacks_sent = 0;
-  std::uint64_t max_open_instances = 0;  ///< concurrent undecided instances
 };
 
 class ChandraTouegConsensus final : public framework::Module {
@@ -86,7 +81,7 @@ class ChandraTouegConsensus final : public framework::Module {
 
   explicit ChandraTouegConsensus(ConsensusConfig config = {},
                                  const fd::HeartbeatFd* fd = nullptr)
-      : config_(config), fd_(fd) {}
+      : config_(config), fd_(fd), rounds_(config.decision_retention) {}
 
   std::string_view name() const override { return "ct-consensus"; }
   void init(framework::Stack& stack) override;
@@ -98,68 +93,43 @@ class ChandraTouegConsensus final : public framework::Module {
   /// instance are ignored.
   void propose(std::uint64_t k, util::Bytes value);
 
-  bool has_decided(std::uint64_t k) const {
-    return decisions_.count(k) != 0;
+  bool has_decided(std::uint64_t k) const { return rounds_.decided(k); }
+  /// Decision value, or nullptr if undecided or dropped by retention.
+  const util::Bytes* decision(std::uint64_t k) const {
+    const rounds::Decided* d = rounds_.decision(k);
+    return d == nullptr ? nullptr : &d->value;
   }
-  /// Decision value, or nullptr if undecided/pruned.
-  const util::Bytes* decision(std::uint64_t k) const;
 
   const ConsensusStats& stats() const { return stats_; }
 
-  /// Coordinator of round r (1-based): p_{(r−1) mod n}.
-  util::ProcessId coordinator(std::uint32_t round) const;
+  /// The round engine: coordinators, quorum, decided watermark.
+  const auto& rounds() const { return rounds_; }
 
  private:
-  struct Instance {
-    std::uint64_t k = 0;
-    std::uint32_t round = 1;
-    bool has_initial = false;
-    util::Bytes estimate;
-    std::uint32_t estimate_ts = 0;  ///< round of adoption; 0 = initial
-    bool decided = false;
-    std::map<std::uint32_t, util::Bytes> proposals;  ///< per-round proposals seen
-    std::set<std::uint32_t> acked_rounds;
-    std::set<std::uint32_t> nacked_rounds;
-    std::set<std::uint32_t> proposed_rounds;  ///< rounds I proposed (as coord)
-    /// One estimate received as coordinator. Entries keep arrival order
-    /// (round-1 nudge adoption is first-come) but are keyed by sender on
-    /// insertion: a refreshed estimate replaces the stale one instead of
-    /// double-counting toward majority.
-    struct EstimateEntry {
-      util::ProcessId sender = 0;
-      std::uint32_t ts = 0;
-      util::Bytes value;
-    };
-    std::map<std::uint32_t, std::vector<EstimateEntry>> estimates;
-    std::set<std::uint32_t> own_estimate_added;
-    std::set<std::uint32_t> estimate_sent;
-    std::set<std::uint32_t> solicited_rounds;
-    std::map<std::uint32_t, std::set<util::ProcessId>> ack_senders;
-    std::optional<std::uint32_t> pending_tag_round;
+  /// This module's per-instance fields beside the engine's round record.
+  struct Pending {
+    std::optional<std::uint32_t> tag_round;  ///< decided round, value unseen
     /// Proposal round awaiting validation before we may ack it.
-    std::optional<std::uint32_t> pending_ack_round;
+    std::optional<std::uint32_t> ack_round;
     /// Chosen (round, value) awaiting validation before we may propose it.
-    std::optional<std::pair<std::uint32_t, util::Bytes>> pending_propose;
+    std::optional<std::pair<std::uint32_t, util::Bytes>> propose;
     runtime::TimerId nudge_timer = runtime::kInvalidTimer;
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
   };
+  using Instance = rounds::RoundEngine<Pending>::Open;
 
-  Instance& instance(std::uint64_t k);
-  std::size_t majority() const;
-  bool suspects(util::ProcessId q) const;
   bool value_ok(std::uint64_t k, const util::Bytes& value) const;
   void adopt_and_ack(Instance& inst, std::uint32_t round);
   void on_revalidate(std::uint64_t k);
 
   void do_propose(Instance& inst, std::uint32_t round, util::Bytes value);
-  void advance_round(Instance& inst);
+  void rotate(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
+  void send_nack(util::ProcessId to, std::uint64_t k, std::uint32_t round);
   void check_estimates(Instance& inst, std::uint32_t round);
-  void record_estimate(Instance& inst, std::uint32_t round,
-                       util::ProcessId sender, std::uint32_t ts,
-                       util::Bytes value);
-  void maybe_decide_as_coordinator(Instance& inst, std::uint32_t round);
+  /// Sends kFull(k) to `to` when k's value is retained; false otherwise.
+  bool send_decision(util::ProcessId to, std::uint64_t k);
   void decide_local(std::uint64_t k, util::Bytes value);
   void broadcast_decision(Instance& inst, std::uint32_t round);
   void start_pull(Instance& inst);
@@ -175,17 +145,13 @@ class ChandraTouegConsensus final : public framework::Module {
                    util::Bytes value);
   void on_ack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
   void on_nack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
-  void on_pull(util::ProcessId from, std::uint64_t k);
   void on_solicit(util::ProcessId from, std::uint64_t k, std::uint32_t round);
-
-  void prune(std::uint64_t except_k);
 
   ConsensusConfig config_;
   const fd::HeartbeatFd* fd_;
   Validator validator_;
   framework::Stack* stack_ = nullptr;
-  std::map<std::uint64_t, Instance> instances_;
-  std::map<std::uint64_t, util::Bytes> decisions_;
+  rounds::RoundEngine<Pending> rounds_;
   ConsensusStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "util/log.hpp"
 
@@ -37,6 +38,8 @@ std::size_t batch_app_bytes(const std::vector<adb::AppMessage>& batch) {
 
 void MonolithicAbcast::init(framework::Stack& stack) {
   stack_ = &stack;
+  rounds_.init(stack.group_size(), stack.self(),
+               fd_ != nullptr ? &fd_->suspected() : nullptr);
   stack.bind_wire(framework::kModMonolithic,
                   [this](util::ProcessId from, util::Payload msg) {
                     on_wire(from, std::move(msg));
@@ -55,26 +58,8 @@ void MonolithicAbcast::start() {
 // Identity helpers
 // --------------------------------------------------------------------------
 
-util::ProcessId MonolithicAbcast::coordinator(std::uint32_t round) const {
-  return (round - 1) % static_cast<std::uint32_t>(stack_->group_size());
-}
-
-std::size_t MonolithicAbcast::majority() const {
-  return stack_->group_size() / 2 + 1;
-}
-
-bool MonolithicAbcast::suspects(util::ProcessId q) const {
-  return fd_ != nullptr && fd_->suspects(q);
-}
-
 bool MonolithicAbcast::i_am_initial_coordinator() const {
-  return stack_->self() == coordinator(1);
-}
-
-MonolithicAbcast::Instance& MonolithicAbcast::instance(std::uint64_t k) {
-  auto [it, inserted] = instances_.try_emplace(k);
-  if (inserted) it->second.k = k;
-  return it->second;
+  return stack_->self() == rounds_.coordinator(1);
 }
 
 bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
@@ -155,21 +140,18 @@ void MonolithicAbcast::flush_outbox_standalone() {
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
   auto route = [this] {
-    auto it = instances_.find(next_decide_);
-    if (it != instances_.end() && !it->second.decided) {
-      return coordinator(it->second.round);
-    }
-    return coordinator(1);
+    const Instance* inst = rounds_.find(next_decide_);
+    return rounds_.coordinator(inst != nullptr ? inst->round : 1);
   };
   util::ProcessId target = route();
-  if (suspects(target)) {
+  if (rounds_.suspects(target)) {
     // Re-queue the batch so ensure_instance_progress sees it as pending,
     // then re-resolve the route.
     for (auto& m : batch) outbox_.push_back(m);
     ensure_instance_progress();
     outbox_.clear();
     target = route();
-    if (suspects(target)) {
+    if (rounds_.suspects(target)) {
       // Still no live coordinator known: the estimates sent while advancing
       // already carry own_pending_; nothing more to do now.
       return;
@@ -221,13 +203,10 @@ bool MonolithicAbcast::try_start_instance() {
   // Pipelining gate: at most pipeline_depth instances undecided at once
   // (depth 1 = the paper's strictly sequential instances).
   if (k - next_decide_ >= config_.pipeline_depth) return false;
-  if (decisions_.count(k) != 0) return false;
-  {
-    auto it = instances_.find(k);
-    if (it != instances_.end() &&
-        (it->second.proposed_rounds.count(1) != 0 || it->second.round > 1)) {
-      return false;  // already started (or recovery in progress)
-    }
+  if (rounds_.decided(k)) return false;
+  if (const Instance* open = rounds_.find(k);
+      open != nullptr && (open->proposed(1) || open->round > 1)) {
+    return false;  // already started (or recovery in progress)
   }
 
   if (pool_.eligible() == 0) return false;
@@ -239,14 +218,9 @@ bool MonolithicAbcast::try_start_instance() {
   std::vector<adb::AppMessage> batch = pool_.cut(k);
   if (batch.empty()) return false;
 
-  Instance& inst = instance(k);
-  util::Bytes value = adb::encode_batch(batch);
-  inst.proposed_rounds.insert(1);
-  inst.proposals[1] = value;
-  inst.estimate = value;
-  inst.estimate_ts = 1;
-  inst.has_estimate = true;
-  inst.ack_senders[1];
+  Instance& inst = *rounds_.open(k);
+  rounds_.propose(inst, 1, adb::encode_batch(batch));
+  const util::Bytes& value = *inst.proposal(1);
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -259,7 +233,7 @@ bool MonolithicAbcast::try_start_instance() {
       dec_k = untagged_decisions_.front();
       untagged_decisions_.pop_front();
       has_dec = true;
-    } else if (k > 0 && decisions_.count(k - 1) != 0) {
+    } else if (k > 0 && rounds_.decision(k - 1) != nullptr) {
       dec_k = k - 1;
       has_dec = true;
     }
@@ -269,7 +243,7 @@ bool MonolithicAbcast::try_start_instance() {
   w.u8(has_dec ? kFlagHasDecision : 0);
   if (has_dec) {
     w.u64(dec_k);
-    w.u32(decision_rounds_[dec_k]);
+    w.u32(rounds_.decided_round(dec_k));
     ++stats_.combined_sent;
   }
   w.u64(k);
@@ -283,14 +257,15 @@ bool MonolithicAbcast::try_start_instance() {
   stats_.max_inflight_instances = std::max<std::uint64_t>(
       stats_.max_inflight_instances, next_start_ - next_decide_);
   arm_retransmit(inst, 1);
-  if (majority() == 1) {
+  if (rounds_.majority() == 1) {
     // Degenerate tiny group: decide via a zero-delay timer so a decide →
     // start(k+1) → decide chain cannot recurse unboundedly.
     // lifecheck:allow(timer.lost): zero-delay trampoline fires before any cancel path could need its id
     stack_->rt().set_timer(0, [this, k] {
-      auto it = instances_.find(k);
-      if (it == instances_.end() || it->second.decided) return;
-      maybe_decide_as_coordinator(it->second, it->second.round);
+      Instance* inst = rounds_.find(k);
+      if (inst != nullptr && rounds_.quorum(*inst, inst->round)) {
+        coordinator_decided(*inst, inst->round);
+      }
     });
   }
   return true;
@@ -328,43 +303,39 @@ void MonolithicAbcast::cancel_batch_timer() {
 
 void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
   const std::uint64_t k = inst.k;
-  if (inst.retransmit_timer != runtime::kInvalidTimer) {
-    stack_->rt().cancel_timer(inst.retransmit_timer);
+  if (inst.extra.retransmit_timer != runtime::kInvalidTimer) {
+    stack_->rt().cancel_timer(inst.extra.retransmit_timer);
   }
-  inst.retransmit_timer = stack_->rt().set_timer(
+  inst.extra.retransmit_timer = stack_->rt().set_timer(
       config_.ack_retransmit, [this, k, round] {
-        auto it = instances_.find(k);
-        if (it == instances_.end()) return;
-        Instance& inst = it->second;
-        inst.retransmit_timer = runtime::kInvalidTimer;
-        if (inst.decided || inst.round != round ||
-            inst.proposed_rounds.count(round) == 0) {
-          return;
-        }
+        Instance* inst = rounds_.find(k);
+        if (inst == nullptr) return;
+        inst->extra.retransmit_timer = runtime::kInvalidTimer;
+        if (inst->round != round || !inst->proposed(round)) return;
         // Resend the proposal to everyone that has not acked yet.
-        util::ByteWriter w(inst.proposals[round].size() + 32);
+        const rounds::Round& r = *inst->find(round);
+        util::ByteWriter w(r.proposal->size() + 32);
         w.u8(kProposal);
         w.u64(k);
         w.u32(round);
-        w.raw(inst.proposals[round]);
+        w.raw(*r.proposal);
         const util::Bytes msg = w.take();
         const auto n = static_cast<util::ProcessId>(stack_->group_size());
-        const auto& acked = inst.ack_senders[round];
         framework::TraceScope scope(*stack_, k, 0);
         for (util::ProcessId p = 0; p < n; ++p) {
-          if (p == stack_->self() || acked.count(p) != 0) continue;
+          if (p == stack_->self() || r.acked_by(p)) continue;
           stack_->send_wire(p, framework::kModMonolithic, msg);
           ++stats_.retransmissions;
         }
-        arm_retransmit(inst, round);
+        arm_retransmit(*inst, round);
       });
 }
 
 void MonolithicAbcast::coordinator_decided(Instance& inst,
                                            std::uint32_t round) {
   const std::uint64_t k = inst.k;
-  util::Bytes batch = inst.proposals[round];
-  decide(k, round, batch);  // applies locally; admits new own messages
+  util::Bytes batch = *inst.proposal(round);
+  decide(k, round, batch);  // applies locally (releasing inst), admits more
 
   if (round > 1) {
     // Recovery decision: full value, relayed on first receipt for safety.
@@ -390,7 +361,7 @@ void MonolithicAbcast::coordinator_decided(Instance& inst,
     while (!untagged_decisions_.empty()) {
       const std::uint64_t dk = untagged_decisions_.front();
       untagged_decisions_.pop_front();
-      send_standalone_tag(dk, decision_rounds_[dk]);
+      send_standalone_tag(dk, rounds_.decided_round(dk));
     }
   } else {
     start_instances();
@@ -413,34 +384,21 @@ void MonolithicAbcast::send_standalone_tag(std::uint64_t k,
 // Round machinery (recovery)
 // --------------------------------------------------------------------------
 
-void MonolithicAbcast::advance_round(Instance& inst) {
-  while (!inst.decided) {
-    ++inst.round;
-    const util::ProcessId c = coordinator(inst.round);
-    if (c == stack_->self()) {
-      check_estimates(inst, inst.round);
+void MonolithicAbcast::rotate(Instance& inst) {
+  for (const rounds::Step& s : rounds_.rotate(inst)) {
+    if (s.to == stack_->self()) {
+      check_estimates(inst, s.round);  // may decide, which releases inst
       return;
     }
-    send_estimate(inst, inst.round, c);
-    if (!suspects(c)) return;
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(inst.round);
-    framework::TraceScope scope(*stack_, inst.k, 0);
-    stack_->send_wire(c, framework::kModMonolithic, w.take());
-    inst.nacked_rounds.insert(inst.round);
+    send_estimate(inst, s.round, s.to);
+    if (s.nack) send_nack(s.to, inst.k, s.round);
   }
 }
 
 void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
                                      util::ProcessId coord) {
-  if (!inst.estimate_sent.insert(round).second) return;
-  if (!inst.has_estimate) {
-    inst.estimate = build_estimate_value();
-    inst.estimate_ts = 0;
-    inst.has_estimate = true;
-  }
+  if (!inst.has_estimate) inst.set_initial(build_estimate_value());
+  if (!rounds_.claim_estimate(inst, round)) return;
   // §4.2 fallback: re-piggyback undelivered own messages on the estimate to
   // the new coordinator.
   std::vector<adb::AppMessage> piggy;
@@ -460,6 +418,16 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
+void MonolithicAbcast::send_nack(util::ProcessId to, std::uint64_t k,
+                                 std::uint32_t round) {
+  util::ByteWriter w(16);
+  w.u8(kNack);
+  w.u64(k);
+  w.u32(round);
+  framework::TraceScope scope(*stack_, k, 0);
+  stack_->send_wire(to, framework::kModMonolithic, w.take());
+}
+
 bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
   if (value.size() < 4) return true;
   util::ByteReader r(value);
@@ -467,34 +435,29 @@ bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
 }
 
 void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
-  if (inst.decided || coordinator(round) != stack_->self()) return;
-  if (inst.proposed_rounds.count(round) != 0) return;
-  if (round < inst.round) return;
+  if (rounds_.coordinator(round) != stack_->self()) return;
+  if (inst.proposed(round) || round < inst.round) return;
 
-  auto& ests = inst.estimates[round];
-  if (inst.own_estimate_added.insert(round).second) {
-    if (!inst.has_estimate) {
-      inst.estimate = build_estimate_value();
-      inst.estimate_ts = 0;
-      inst.has_estimate = true;
+  if (!inst.has_estimate) inst.set_initial(build_estimate_value());
+  rounds::Round& r = inst.at(round);
+  if (!rounds_.record_own(inst, round)) {
+    const rounds::Estimate* own = r.estimate_of(stack_->self());
+    if (own != nullptr && own->ts == 0) {
+      // Our recorded estimate is unlocked (ts = 0): refresh it from the
+      // pool, which may have grown via piggybacked messages since we
+      // recorded it.
+      if (inst.estimate_ts == 0) inst.estimate = build_estimate_value();
+      r.record(stack_->self(), inst.estimate_ts, inst.estimate);
     }
-    ests[stack_->self()] = {inst.estimate_ts, inst.estimate};
-  } else if (!inst.decided && ests.count(stack_->self()) != 0 &&
-             ests[stack_->self()].first == 0) {
-    // Our recorded estimate is unlocked (ts = 0): refresh it from the pool,
-    // which may have grown via piggybacked messages since we recorded it.
-    if (inst.estimate_ts == 0) {
-      inst.estimate = build_estimate_value();
-      inst.has_estimate = true;
-    }
-    ests[stack_->self()] = {inst.estimate_ts, inst.estimate};
   }
-  const bool have_majority = ests.size() >= majority();
+  const std::vector<rounds::Estimate>& ests = r.estimates;
+  const bool have_majority = ests.size() >= rounds_.majority();
   if (!have_majority || ests.size() < stack_->group_size()) {
     // Not enough participants (or we are holding on all-empty estimates
     // below and the value-holder may not have joined yet): solicit the
     // processes that have not sent an estimate for this round.
-    if (inst.solicited_rounds.insert(round).second) {
+    if (!r.solicited) {
+      r.solicited = true;
       util::ByteWriter w(16);
       w.u8(kSolicit);
       w.u64(inst.k);
@@ -509,23 +472,20 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
   // unlocked (ts = 0) candidates, prefer one that actually carries
   // messages — an all-empty set means there is nothing to order yet, so
   // hold until a value arrives (a new estimate re-triggers this check).
-  auto better = [this](const std::pair<std::uint32_t, util::Bytes>& a,
-                       const std::pair<std::uint32_t, util::Bytes>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return !batch_is_empty(a.second) && batch_is_empty(b.second);
+  // Remaining ties go to the lowest sender id.
+  auto better = [](const rounds::Estimate& a, const rounds::Estimate& b) {
+    if (a.ts != b.ts) return a.ts > b.ts;
+    const bool a_full = !batch_is_empty(a.value);
+    if (a_full != !batch_is_empty(b.value)) return a_full;
+    return a.sender < b.sender;
   };
-  const std::pair<std::uint32_t, util::Bytes>* best = nullptr;
-  for (const auto& [sender, est] : ests) {
-    if (best == nullptr || better(est, *best)) best = &est;
+  const rounds::Estimate* best = nullptr;
+  for (const rounds::Estimate& e : ests) {
+    if (best == nullptr || better(e, *best)) best = &e;
   }
-  if (best->first == 0 && batch_is_empty(best->second)) return;  // hold
-  util::Bytes value = best->second;
-  inst.round = std::max(inst.round, round);
-  inst.proposed_rounds.insert(round);
-  inst.proposals[round] = value;
-  inst.estimate = value;
-  inst.estimate_ts = round;
-  inst.ack_senders[round];
+  if (best->ts == 0 && batch_is_empty(best->value)) return;  // hold
+  rounds_.propose(inst, round, best->value);
+  const util::Bytes& value = *inst.proposal(round);
 
   util::ByteWriter w(value.size() + 32);
   w.u8(kProposal);
@@ -537,14 +497,7 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
     stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
   arm_retransmit(inst, round);
-  maybe_decide_as_coordinator(inst, round);
-}
-
-void MonolithicAbcast::maybe_decide_as_coordinator(Instance& inst,
-                                                   std::uint32_t round) {
-  if (inst.decided || inst.proposed_rounds.count(round) == 0) return;
-  if (inst.ack_senders[round].size() + 1 < majority()) return;
-  coordinator_decided(inst, round);
+  if (rounds_.quorum(inst, round)) coordinator_decided(inst, round);
 }
 
 void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
@@ -569,63 +522,39 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
 }
 
 void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
-                                       std::uint32_t round, util::Bytes batch,
-                                       bool from_combined) {
-  (void)from_combined;
-  if (k < next_decide_) return;  // stale instance
-  Instance& inst = instance(k);
-  inst.proposals[round] = std::move(batch);
+                                       std::uint32_t round,
+                                       util::Bytes batch) {
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;  // decided (stale instance)
+  inst->at(round).proposal = std::move(batch);
 
-  if (!inst.decided && inst.pending_tag_round &&
-      *inst.pending_tag_round == round) {
-    decide(k, round, inst.proposals[round]);
-    return;
-  }
-  if (inst.decided || decisions_.count(k) != 0) return;
-
-  if (round < inst.round) {
-    // Stale proposal: we advanced past this round (possibly on a wrong
-    // suspicion) — nack so the old coordinator advances too.
-    if (inst.acked_rounds.count(round) == 0 &&
-        inst.nacked_rounds.insert(round).second) {
-      util::ByteWriter w(16);
-      w.u8(kNack);
-      w.u64(k);
-      w.u32(round);
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModMonolithic, w.take());
-    }
-    return;
-  }
-  if (round > inst.round) inst.round = round;
-
-  if (inst.acked_rounds.count(round) != 0) {
-    // Duplicate (retransmitted) proposal: re-ack, the coordinator may have
-    // missed our first ack.
-    send_ack(inst, round, from);
-    return;
-  }
-  if (inst.nacked_rounds.count(round) != 0) return;
-
-  if (suspects(coordinator(round))) {
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(from, framework::kModMonolithic, w.take());
-    }
-    inst.nacked_rounds.insert(round);
-    advance_round(inst);
+  if (inst->extra.tag_round == round) {
+    decide(k, round, *inst->proposal(round));
     return;
   }
 
-  inst.estimate = inst.proposals[round];
-  inst.estimate_ts = round;
-  inst.has_estimate = true;
-  inst.acked_rounds.insert(round);
-  send_ack(inst, round, from);
+  switch (rounds_.admit(*inst, round)) {
+    case rounds::Admission::kStale:
+      // We advanced past this round (possibly on a wrong suspicion) — nack
+      // so the old coordinator advances too.
+      send_nack(from, k, round);
+      return;
+    case rounds::Admission::kAnswered:
+      return;
+    case rounds::Admission::kAcked:
+      // Duplicate (retransmitted) proposal: re-ack, the coordinator may
+      // have missed our first ack.
+      send_ack(*inst, round, from);
+      return;
+    case rounds::Admission::kSuspected:
+      send_nack(from, k, round);
+      rotate(*inst);
+      return;
+    case rounds::Admission::kAdopt:
+      break;
+  }
+  rounds_.adopt(*inst, round);
+  send_ack(*inst, round, from);
 }
 
 // --------------------------------------------------------------------------
@@ -634,45 +563,33 @@ void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
 
 void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
                                             std::uint32_t round) {
-  if (k < next_decide_) return;  // already applied (possibly pruned)
-  if (decisions_.count(k) != 0) return;
-  Instance& inst = instance(k);
-  auto pit = inst.proposals.find(round);
-  if (pit != inst.proposals.end()) {
-    decide(k, round, pit->second);
+  Instance* inst = rounds_.open(k);
+  if (inst == nullptr) return;  // already decided (possibly dropped)
+  if (const util::Bytes* value = inst->proposal(round)) {
+    decide(k, round, *value);
     return;
   }
-  inst.pending_tag_round = round;
-  if (inst.pull_timer == runtime::kInvalidTimer) start_pull(inst);
+  inst->extra.tag_round = round;
+  if (inst->extra.pull_timer == runtime::kInvalidTimer) start_pull(*inst);
 }
 
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
                               util::Bytes batch) {
-  if (k < next_decide_) return;  // already applied (possibly pruned)
-  if (decisions_.count(k) != 0) return;
-  decisions_[k] = batch;
-  decision_rounds_[k] = round;
+  if (rounds_.decided(k)) return;  // already decided (possibly dropped)
   stats_.max_round = std::max(stats_.max_round, round);
   if (round > 1) ++stats_.late_decisions;
-
-  auto it = instances_.find(k);
-  if (it != instances_.end()) {
-    Instance& inst = it->second;
-    inst.decided = true;
-    inst.decided_round = round;
-    if (inst.pull_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.pull_timer);
-      inst.pull_timer = runtime::kInvalidTimer;
+  if (Instance* inst = rounds_.find(k)) {
+    if (inst->extra.pull_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->extra.pull_timer);
     }
-    if (inst.retransmit_timer != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(inst.retransmit_timer);
-      inst.retransmit_timer = runtime::kInvalidTimer;
+    if (inst->extra.retransmit_timer != runtime::kInvalidTimer) {
+      stack_->rt().cancel_timer(inst->extra.retransmit_timer);
     }
   }
+  rounds_.decide(k, round, batch);
 
   ready_decisions_[k] = std::move(batch);
   apply_ready_decisions();
-  prune(k);
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
@@ -719,42 +636,40 @@ void MonolithicAbcast::apply_ready_decisions() {
   // Keep making progress when the initial coordinator is gone: without this
   // the next instance would only start at the silence timer, serializing
   // recovery at liveness_timeout per instance.
-  if (suspects(coordinator(1))) ensure_instance_progress();
+  if (rounds_.suspects(rounds_.coordinator(1))) ensure_instance_progress();
 }
 
 void MonolithicAbcast::recheck_active_estimates() {
-  auto it = instances_.find(next_decide_);
-  if (it == instances_.end()) return;
-  Instance& inst = it->second;
-  if (inst.decided || inst.round <= 1) return;
-  const util::ProcessId c = coordinator(inst.round);
+  Instance* inst = rounds_.find(next_decide_);
+  if (inst == nullptr || inst->round <= 1) return;
+  const util::ProcessId c = rounds_.coordinator(inst->round);
   if (c == stack_->self()) {
     // Coordinator: our own (unlocked) estimate refreshes inside.
-    check_estimates(inst, inst.round);
+    check_estimates(*inst, inst->round);
     return;
   }
   // Participant with an unlocked estimate already sent: if the pool grew
   // since (piggybacked or forwarded messages), re-send the richer estimate
   // so the held round can choose a value that actually carries messages.
-  if (inst.estimate_ts != 0) return;
-  if (inst.estimate_sent.count(inst.round) == 0) return;
+  if (inst->estimate_ts != 0) return;
+  rounds::Round* r = inst->find(inst->round);
+  if (r == nullptr || !r->estimate_sent) return;
   util::Bytes fresh = build_estimate_value();
-  if (fresh == inst.estimate) return;  // nothing new
-  inst.estimate = std::move(fresh);
-  inst.has_estimate = true;
-  inst.estimate_sent.erase(inst.round);
-  send_estimate(inst, inst.round, c);
+  if (fresh == inst->estimate) return;  // nothing new
+  inst->estimate = std::move(fresh);
+  r->estimate_sent = false;
+  send_estimate(*inst, inst->round, c);
 }
 
 bool MonolithicAbcast::reply_decision_if_known(util::ProcessId to,
                                                std::uint64_t k) {
-  auto it = decisions_.find(k);
-  if (it == decisions_.end()) return false;
-  util::ByteWriter w(it->second.size() + 16);
+  const rounds::Decided* d = rounds_.decision(k);
+  if (d == nullptr) return false;
+  util::ByteWriter w(d->value.size() + 16);
   w.u8(kFullReply);
   w.u64(k);
-  w.u32(decision_rounds_[k]);
-  w.raw(it->second);
+  w.u32(d->round);
+  w.raw(d->value);
   framework::TraceScope scope(*stack_, k, 0);
   stack_->send_wire(to, framework::kModMonolithic, w.take());
   return true;
@@ -770,11 +685,11 @@ void MonolithicAbcast::start_pull(Instance& inst) {
   }
   stats_.pulls_sent += stack_->group_size() - 1;
   const std::uint64_t k = inst.k;
-  inst.pull_timer = stack_->rt().set_timer(config_.pull_retry, [this, k] {
-    auto it = instances_.find(k);
-    if (it == instances_.end() || it->second.decided) return;
-    it->second.pull_timer = runtime::kInvalidTimer;
-    start_pull(it->second);
+  inst.extra.pull_timer = stack_->rt().set_timer(config_.pull_retry, [this, k] {
+    Instance* inst = rounds_.find(k);
+    if (inst == nullptr) return;
+    inst->extra.pull_timer = runtime::kInvalidTimer;
+    start_pull(*inst);
   });
 }
 
@@ -812,7 +727,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       }
       const std::uint64_t k = r.u64();
       util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, 1, std::move(batch), /*from_combined=*/true);
+      handle_proposal(from, k, 1, std::move(batch));
       break;
     }
     case kAck: {
@@ -820,13 +735,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (k >= next_decide_ && decisions_.count(k) == 0) {
-        Instance& inst = instance(k);
-        if (!inst.decided && coordinator(round) == stack_->self() &&
-            inst.proposed_rounds.count(round) != 0) {
-          inst.ack_senders[round].insert(from);
-          maybe_decide_as_coordinator(inst, round);
-        }
+      if (Instance* inst = rounds_.open(k)) {
+        if (rounds_.ack(*inst, round, from)) coordinator_decided(*inst, round);
       }
       start_instances();
       recheck_active_estimates();
@@ -846,7 +756,8 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       resolve_decision_tag(k, round);
       if (!config_.opt_cheap_decision &&
-          is_designated_resender(coordinator(round), stack_->self()) &&
+          is_designated_resender(rounds_.coordinator(round),
+                                 stack_->self()) &&
           relayed_decisions_.mark(kRelayTagChannel, k)) {
         util::ByteWriter w(16);
         w.u8(kDecisionTag);
@@ -865,21 +776,20 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       util::Bytes est = r.blob();
       util::Bytes piggy(r.rest().begin(), r.rest().end());
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
-      if (decisions_.count(k) != 0 || k < next_decide_) {
+      Instance* inst = rounds_.open(k);
+      if (inst == nullptr) {
         reply_decision_if_known(from, k);
         break;
       }
-      Instance& inst = instance(k);
-      inst.estimates[round][from] = {ts, std::move(est)};
-      check_estimates(inst, round);
+      inst->at(round).record(from, ts, std::move(est));
+      check_estimates(*inst, round);
       break;
     }
     case kProposal: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, round, std::move(batch),
-                      /*from_combined=*/false);
+      handle_proposal(from, k, round, std::move(batch));
       break;
     }
     case kDecisionFull: {
@@ -898,14 +808,14 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kNack: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      if (decisions_.count(k) != 0) {
+      Instance* inst = rounds_.open(k);
+      if (inst == nullptr) {
         reply_decision_if_known(from, k);
         break;
       }
-      Instance& inst = instance(k);
-      if (coordinator(round) == stack_->self() && !inst.decided &&
-          inst.round == round) {
-        advance_round(inst);
+      if (rounds_.coordinator(round) == stack_->self() &&
+          inst->round == round) {
+        rotate(*inst);
       }
       break;
     }
@@ -926,18 +836,17 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t round = r.u32();
       // The solicitor lags behind a decided instance: hand it the value.
       if (reply_decision_if_known(from, k)) break;
-      if (k < next_decide_) break;
-      Instance& inst = instance(k);
-      if (inst.decided) break;
-      if (round > inst.round) inst.round = round;  // join the recovery round
+      Instance* inst = rounds_.open(k);
+      if (inst == nullptr) break;
+      if (round > inst->round) inst->round = round;  // join the recovery round
       // Send (or refresh, if unlocked) our estimate for the round. An empty
       // pool yields an empty batch — that still counts toward majority.
-      if (inst.estimate_ts == 0) {
-        inst.estimate = build_estimate_value();
-        inst.has_estimate = true;
-        inst.estimate_sent.erase(round);
+      if (inst->estimate_ts == 0) {
+        inst->estimate = build_estimate_value();
+        inst->has_estimate = true;
+        inst->at(round).estimate_sent = false;
       }
-      send_estimate(inst, round, from);
+      send_estimate(*inst, round, from);
       break;
     }
     default:
@@ -951,24 +860,11 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
 
 void MonolithicAbcast::on_suspect(util::ProcessId q) {
   if (q == stack_->self()) return;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(instances_.size());
-  for (const auto& [k, inst] : instances_) keys.push_back(k);
-  for (std::uint64_t k : keys) {
-    auto it = instances_.find(k);
-    if (it == instances_.end()) continue;
-    Instance& inst = it->second;
-    if (inst.decided || coordinator(inst.round) != q) continue;
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(k);
-    w.u32(inst.round);
-    {
-      framework::TraceScope scope(*stack_, k, 0);
-      stack_->send_wire(q, framework::kModMonolithic, w.take());
-    }
-    inst.nacked_rounds.insert(inst.round);
-    advance_round(inst);
+  for (std::uint64_t k : rounds_.coordinated_by(q)) {
+    Instance* inst = rounds_.abandon(k, q);
+    if (inst == nullptr) continue;
+    send_nack(q, k, inst->round);
+    rotate(*inst);
   }
   ensure_instance_progress();
 }
@@ -978,28 +874,18 @@ void MonolithicAbcast::ensure_instance_progress() {
     start_instances();
     return;
   }
-  if (decisions_.count(next_decide_) != 0) return;
   // Join recovery for the next instance even with nothing of our own to
   // order: the new coordinator needs a majority of estimates, and other
   // processes may hold undelivered messages we know nothing about (§3.3's
   // "starts a consensus even if no message arrives").
-  if (!suspects(coordinator(1))) return;
-  Instance& inst = instance(next_decide_);
-  if (inst.decided) return;
-  if (inst.round == 1 && inst.acked_rounds.empty() &&
-      inst.nacked_rounds.empty()) {
-    // Nack round 1 in case the suspected coordinator is actually alive and
-    // already proposed (or will): it must not wait for our ack.
-    inst.nacked_rounds.insert(1);
-    util::ByteWriter w(16);
-    w.u8(kNack);
-    w.u64(inst.k);
-    w.u32(1);
-    {
-      framework::TraceScope scope(*stack_, inst.k, 0);
-      stack_->send_wire(coordinator(1), framework::kModMonolithic, w.take());
-    }
-    advance_round(inst);
+  if (!rounds_.suspects(rounds_.coordinator(1))) return;
+  Instance* inst = rounds_.open(next_decide_);
+  if (inst == nullptr) return;
+  // Nack round 1 in case the suspected coordinator is actually alive and
+  // already proposed (or will): it must not wait for our ack.
+  if (inst->round == 1 && rounds_.nack_once(*inst, 1)) {
+    send_nack(rounds_.coordinator(1), inst->k, 1);
+    rotate(*inst);
   }
 }
 
@@ -1033,52 +919,6 @@ void MonolithicAbcast::arm_liveness_timer() {
     }
     arm_liveness_timer();
   });
-}
-
-std::string MonolithicAbcast::debug_state() const {
-  std::string out = "next_decide=" + std::to_string(next_decide_) +
-                    " next_start=" + std::to_string(next_start_) +
-                    " pool=" + std::to_string(pool_.live()) +
-                    " own_pending=" + std::to_string(own_pending_.size()) +
-                    " outbox=" + std::to_string(outbox_.size()) + "\n";
-  for (const auto& [k, inst] : instances_) {
-    if (inst.decided) continue;
-    out += "  inst k=" + std::to_string(k) +
-           " round=" + std::to_string(inst.round) + " proposed={";
-    for (auto r : inst.proposed_rounds) out += std::to_string(r) + ",";
-    out += "} acked={";
-    for (auto r : inst.acked_rounds) out += std::to_string(r) + ",";
-    out += "} nacked={";
-    for (auto r : inst.nacked_rounds) out += std::to_string(r) + ",";
-    out += "} est_sent={";
-    for (auto r : inst.estimate_sent) out += std::to_string(r) + ",";
-    out += "}";
-    for (const auto& [r, ests] : inst.estimates) {
-      out += " ests[r" + std::to_string(r) + "]=" +
-             std::to_string(ests.size());
-    }
-    for (const auto& [r, acks] : inst.ack_senders) {
-      out += " acks[r" + std::to_string(r) + "]=" +
-             std::to_string(acks.size());
-    }
-    out += " tag=" +
-           (inst.pending_tag_round
-                ? std::to_string(*inst.pending_tag_round)
-                : std::string("-"));
-    out += "\n";
-  }
-  return out;
-}
-
-void MonolithicAbcast::prune(std::uint64_t except_k) {
-  while (decisions_.size() > config_.decision_retention) {
-    const std::uint64_t oldest = decisions_.begin()->first;
-    if (oldest == except_k) break;
-    decisions_.erase(decisions_.begin());
-    decision_rounds_.erase(oldest);
-    auto it = instances_.find(oldest);
-    if (it != instances_.end() && it->second.decided) instances_.erase(it);
-  }
 }
 
 }  // namespace modcast::monolithic

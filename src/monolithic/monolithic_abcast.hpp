@@ -17,9 +17,9 @@
 //       unnecessary in good runs.
 //
 // Each optimization has a correctness fallback for bad runs: missed
-// decisions are pulled from peers; on suspicion of the coordinator the full
-// estimate/propose/ack round machinery (rounds ≥ 2) takes over with full-
-// value decisions relayed on first receipt.
+// decisions are pulled from peers; on suspicion of the coordinator the
+// round machinery shared with the modular stack (rounds::RoundEngine, rounds
+// ≥ 2) takes over with full-value decisions relayed on first receipt.
 //
 // All three toggles exist so the ablation bench can attribute the paper's
 // measured gap to the individual optimizations.
@@ -33,14 +33,13 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "adb/batcher.hpp"
 #include "adb/types.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
+#include "rounds/round_engine.hpp"
 #include "util/seq_tracker.hpp"
 
 namespace modcast::monolithic {
@@ -108,7 +107,8 @@ class MonolithicAbcast final : public framework::Module {
       : config_(config),
         fd_(fd),
         pool_(adb::BatchPolicy{config.max_batch, config.batch_bytes,
-                               config.batch_delay}) {
+                               config.batch_delay}),
+        rounds_(config.decision_retention) {
     if (config_.pipeline_depth == 0) config_.pipeline_depth = 1;
   }
 
@@ -129,42 +129,17 @@ class MonolithicAbcast final : public framework::Module {
   std::uint64_t next_decide() const { return next_decide_; }
   std::size_t pool_size() const { return pool_.live(); }
 
-  /// Human-readable snapshot of live instance state (diagnostics/tests).
-  std::string debug_state() const;
-
  private:
-  struct Instance {
-    std::uint64_t k = 0;
-    std::uint32_t round = 1;
-    bool decided = false;
-    std::uint32_t decided_round = 0;
-    util::Bytes estimate;
-    std::uint32_t estimate_ts = 0;
-    bool has_estimate = false;
-    std::map<std::uint32_t, util::Bytes> proposals;
-    std::set<std::uint32_t> acked_rounds;
-    std::set<std::uint32_t> nacked_rounds;
-    std::set<std::uint32_t> proposed_rounds;
-    std::map<std::uint32_t, std::set<util::ProcessId>> ack_senders;
-    /// Per round: estimate (adoption ts, value) keyed by sender, so a
-    /// refreshed estimate replaces the stale one instead of double-counting.
-    std::map<std::uint32_t,
-             std::map<util::ProcessId, std::pair<std::uint32_t, util::Bytes>>>
-        estimates;
-    std::set<std::uint32_t> own_estimate_added;
-    std::set<std::uint32_t> estimate_sent;
-    std::set<std::uint32_t> solicited_rounds;
-    std::optional<std::uint32_t> pending_tag_round;
+  /// This module's per-instance fields beside the engine's round record.
+  struct Pending {
+    std::optional<std::uint32_t> tag_round;  ///< decided round, value unseen
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
     runtime::TimerId retransmit_timer = runtime::kInvalidTimer;
   };
+  using Instance = rounds::RoundEngine<Pending>::Open;
 
   // --- identity helpers ---
-  util::ProcessId coordinator(std::uint32_t round) const;
-  std::size_t majority() const;
-  bool suspects(util::ProcessId q) const;
   bool i_am_initial_coordinator() const;
-  Instance& instance(std::uint64_t k);
 
   // --- application / flow control ---
   void admit_queued();
@@ -188,14 +163,13 @@ class MonolithicAbcast final : public framework::Module {
   void arm_retransmit(Instance& inst, std::uint32_t round);
 
   // --- round machinery (recovery) ---
-  void advance_round(Instance& inst);
+  void rotate(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
+  void send_nack(util::ProcessId to, std::uint64_t k, std::uint32_t round);
   void check_estimates(Instance& inst, std::uint32_t round);
-  void maybe_decide_as_coordinator(Instance& inst, std::uint32_t round);
   void handle_proposal(util::ProcessId from, std::uint64_t k,
-                       std::uint32_t round, util::Bytes batch,
-                       bool from_combined);
+                       std::uint32_t round, util::Bytes batch);
   void send_ack(Instance& inst, std::uint32_t round, util::ProcessId coord);
 
   // --- decisions ---
@@ -222,7 +196,6 @@ class MonolithicAbcast final : public framework::Module {
   void on_suspect(util::ProcessId q);
   void ensure_instance_progress();
   void arm_liveness_timer();
-  void prune(std::uint64_t except_k);
 
   MonolithicConfig config_;
   const fd::HeartbeatFd* fd_;
@@ -245,10 +218,8 @@ class MonolithicAbcast final : public framework::Module {
   util::SeqTracker seen_;
   util::SeqTracker delivered_;
 
-  // Instance bookkeeping.
-  std::map<std::uint64_t, Instance> instances_;
-  std::map<std::uint64_t, util::Bytes> decisions_;
-  std::map<std::uint64_t, std::uint32_t> decision_rounds_;
+  // Instance bookkeeping: the round engine shared with the modular stack.
+  rounds::RoundEngine<Pending> rounds_;
   std::uint64_t next_decide_ = 0;
   std::uint64_t next_start_ = 0;  ///< coordinator: next instance to propose
   /// §4.1 combine, pipelined: decisions reached but not yet shipped in a

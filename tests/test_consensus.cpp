@@ -252,10 +252,10 @@ TEST(ConsensusApi, DecisionAccessors) {
 TEST(ConsensusApi, CoordinatorRotation) {
   NodeHarness h(3, 1, fast_fd());
   auto& cons = h.node(0).cons;
-  EXPECT_EQ(cons.coordinator(1), 0u);
-  EXPECT_EQ(cons.coordinator(2), 1u);
-  EXPECT_EQ(cons.coordinator(3), 2u);
-  EXPECT_EQ(cons.coordinator(4), 0u);
+  EXPECT_EQ(cons.rounds().coordinator(1), 0u);
+  EXPECT_EQ(cons.rounds().coordinator(2), 1u);
+  EXPECT_EQ(cons.rounds().coordinator(3), 2u);
+  EXPECT_EQ(cons.rounds().coordinator(4), 0u);
 }
 
 TEST(ConsensusApi, ProposeIsIdempotentPerInstance) {

@@ -92,6 +92,56 @@ TEST(ConsensusRetention, OldDecisionsArePruned) {
   EXPECT_EQ(h.node(0).decided.size(), kInstances);  // deliveries unaffected
 }
 
+// A value dropped by retention must not let its instance decide again. p2
+// is cut off while p0 and p1 decide 30 instances, and it proposes "late"
+// for instance 0. After the heal, p2's round-1 nudge reaches p0, which no
+// longer holds instance 0's value: it must not re-open the instance and
+// propose "late".
+TEST(ConsensusRetention, DroppedDecisionIsNotDecidedAgain) {
+  consensus::ConsensusConfig cc;
+  cc.decision_retention = 8;
+  NodeHarness h(3, 1, {}, {}, cc);
+  std::map<std::uint64_t, std::vector<std::string>> decides[3];
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    h.node(p).stack.bind(framework::kEvDecide,
+                         [&decides, p](const framework::Event& ev) {
+                           auto& body = ev.as<framework::ConsensusValueBody>();
+                           decides[p][body.instance].push_back(
+                               string_of(body.value));
+                         });
+  }
+  auto cut_off_p2 = [&h](bool blocked) {
+    for (util::ProcessId p = 0; p < 2; ++p) {
+      h.world().network().set_link_blocked(p, 2, blocked);
+      h.world().network().set_link_blocked(2, p, blocked);
+    }
+  };
+  cut_off_p2(true);
+  h.world().simulator().at(milliseconds(180), [&] { cut_off_p2(false); });
+  h.start();
+  constexpr std::uint64_t kInstances = 30;
+  for (std::uint64_t k = 0; k < kInstances; ++k) {
+    for (util::ProcessId p = 0; p < 2; ++p) {
+      h.propose_at(milliseconds(5 + 5 * static_cast<std::int64_t>(k)), p, k,
+                   "v" + std::to_string(k));
+    }
+  }
+  h.propose_at(milliseconds(5), 2, 0, "late");
+  h.run_until(seconds(2));
+
+  ASSERT_EQ(decides[0].size(), kInstances);
+  // Retention dropped instance 0's value, not its decidedness.
+  EXPECT_TRUE(h.node(0).cons.has_decided(0));
+  EXPECT_EQ(h.node(0).cons.decision(0), nullptr);
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    for (const auto& [k, values] : decides[p]) {
+      EXPECT_EQ(values.size(), 1u) << "process " << p << " instance " << k;
+      EXPECT_EQ(values.front(), "v" + std::to_string(k))
+          << "process " << p << " instance " << k;
+    }
+  }
+}
+
 // --- Network partition heal ------------------------------------------------
 
 // A partition drops messages between correct processes — outside the
