@@ -111,9 +111,9 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     }
     case kPayloadPull: {
       // Serve whatever requested payloads we hold.
-      util::Bytes ids_blob(r.rest().begin(), r.rest().end());
+      const std::span<const std::uint8_t> ids = r.rest();
       std::vector<AppMessage> have;
-      for (const MsgId& id : decode_id_batch(ids_blob)) {
+      for (const MsgId& id : decode_id_batch(ids)) {
         auto it = payload_store_.find(id);
         if (it != payload_store_.end()) {
           have.push_back(AppMessage{id, it->second});
@@ -128,8 +128,8 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kPayloadPush: {
-      util::Bytes batch_blob(r.rest().begin(), r.rest().end());
-      for (AppMessage& m : decode_batch(batch_blob)) {
+      const std::span<const std::uint8_t> pushed = r.rest();
+      for (AppMessage& m : decode_batch(pushed)) {
         store_payload(m);
         // A pushed payload is also a (re)diffusion: pool it if unseen.
         if (seen_.mark(m.id.origin, m.id.seq)) add_pending(std::move(m));
@@ -200,7 +200,7 @@ util::Bytes ModularAbcast::encode_value(
   return encode_id_batch(ids);
 }
 
-void ModularAbcast::on_decide(std::uint64_t k, const util::Bytes& value) {
+void ModularAbcast::on_decide(std::uint64_t k, const util::Payload& value) {
   last_activity_ = stack_->rt().now();
   if (k < next_decide_) return;  // already applied
   ready_decisions_[k] = value;
@@ -217,7 +217,7 @@ void ModularAbcast::apply_ready_decisions() {
       // Resolve ids to payloads; block (and pull) if any is missing. The
       // decision stays buffered so ordering is preserved.
       std::vector<MsgId> missing;
-      for (const MsgId& id : decode_id_batch(it->second)) {
+      for (const MsgId& id : decode_id_batch(it->second.span())) {
         if (delivered_.seen(id.origin, id.seq)) continue;  // dup across k
         auto pit = payload_store_.find(id);
         if (pit == payload_store_.end()) {
@@ -232,7 +232,7 @@ void ModularAbcast::apply_ready_decisions() {
         break;
       }
     } else {
-      batch = decode_batch(it->second);
+      batch = decode_batch(it->second.span());
     }
     ready_decisions_.erase(it);
 
@@ -287,10 +287,10 @@ void ModularAbcast::retain_delivered(const MsgId& id) {
 }
 
 bool ModularAbcast::validate_value(std::uint64_t k,
-                                   const util::Bytes& value) {
+                                   const util::Payload& value) {
   if (!config_.indirect_consensus) return true;
   std::vector<MsgId> missing;
-  for (const MsgId& id : decode_id_batch(value)) {
+  for (const MsgId& id : decode_id_batch(value.span())) {
     if (!payload_available(id)) missing.push_back(id);
   }
   if (missing.empty()) return true;

@@ -140,11 +140,11 @@ class ModularAbcast final : public framework::Module {
   /// locally actionable (payload held or already delivered); otherwise
   /// starts payload pulls and returns false. Install on the consensus
   /// module via set_proposal_validator (core::AbcastProcess does this).
-  bool validate_value(std::uint64_t k, const util::Bytes& value);
+  bool validate_value(std::uint64_t k, const util::Payload& value);
 
  private:
   void on_wire(util::ProcessId from, util::Payload msg);
-  void on_decide(std::uint64_t k, const util::Bytes& value);
+  void on_decide(std::uint64_t k, const util::Payload& value);
   void on_propose_request(std::uint64_t k);
   void admit_queued();
   void add_pending(AppMessage m);
@@ -157,7 +157,6 @@ class ModularAbcast final : public framework::Module {
 
   // --- indirect-consensus support ---
   util::Bytes encode_value(const std::vector<AppMessage>& batch) const;
-  std::vector<AppMessage> decode_value(const util::Bytes& value);
   bool payload_available(const MsgId& id) const;
   void store_payload(const AppMessage& m);
   void request_payloads(const std::vector<MsgId>& missing);
@@ -181,7 +180,8 @@ class ModularAbcast final : public framework::Module {
 
   std::uint64_t next_instance_ = 0;  ///< next instance to propose
   std::uint64_t next_decide_ = 0;    ///< next instance to apply
-  std::map<std::uint64_t, util::Bytes> ready_decisions_;
+  /// Decided values awaiting application: views shared with consensus.
+  std::map<std::uint64_t, util::Payload> ready_decisions_;
 
   util::TimePoint last_activity_ = 0;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger

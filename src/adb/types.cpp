@@ -25,7 +25,7 @@ util::Bytes encode_batch(const std::vector<AppMessage>& batch) {
   return w.take();
 }
 
-std::vector<AppMessage> decode_batch(const util::Bytes& data) {
+std::vector<AppMessage> decode_batch(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
   const std::uint32_t count = r.u32();
   // Each message needs at least 16 bytes (id + empty payload's length
@@ -57,7 +57,7 @@ util::Bytes encode_id_batch(const std::vector<MsgId>& ids) {
   return w.take();
 }
 
-std::vector<MsgId> decode_id_batch(const util::Bytes& data) {
+std::vector<MsgId> decode_id_batch(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 12) {

@@ -7,6 +7,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -36,7 +37,7 @@ AppMessage decode_message(util::ByteReader& r);
 /// consensus agrees on; they carry full payloads so a process that missed
 /// the original diffusion still obtains the message content.
 util::Bytes encode_batch(const std::vector<AppMessage>& batch);
-std::vector<AppMessage> decode_batch(const util::Bytes& data);
+std::vector<AppMessage> decode_batch(std::span<const std::uint8_t> data);
 
 /// Size in bytes encode_message will produce (for size accounting).
 std::size_t encoded_size(const AppMessage& m);
@@ -45,6 +46,6 @@ std::size_t encoded_size(const AppMessage& m);
 /// Ekwall & Schiper DSN'06): consensus agrees on 12-byte message ids while
 /// payloads travel only via diffusion.
 util::Bytes encode_id_batch(const std::vector<MsgId>& ids);
-std::vector<MsgId> decode_id_batch(const util::Bytes& data);
+std::vector<MsgId> decode_id_batch(std::span<const std::uint8_t> data);
 
 }  // namespace modcast::adb

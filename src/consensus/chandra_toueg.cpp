@@ -50,11 +50,11 @@ void ChandraTouegConsensus::init(framework::Stack& stack) {
 }
 
 bool ChandraTouegConsensus::value_ok(std::uint64_t k,
-                                     const util::Bytes& value) const {
+                                     const util::Payload& value) const {
   return !validator_ || validator_(k, value);
 }
 
-void ChandraTouegConsensus::propose(std::uint64_t k, util::Bytes value) {
+void ChandraTouegConsensus::propose(std::uint64_t k, util::Payload value) {
   Instance* inst = rounds_.open(k);
   // Decided, or an initial value is already bound.
   if (inst == nullptr || inst->has_estimate) return;
@@ -120,14 +120,14 @@ void ChandraTouegConsensus::arm_nudge(Instance& inst) {
 }
 
 void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
-                                       util::Bytes value) {
+                                       util::Payload value) {
   // In the good-run path this runs inside the abcast module's propose scope,
   // which already annotated instance k and the batch's app-payload bytes;
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
   rounds_.propose(inst, round, std::move(value));
-  const util::Bytes& proposal = *inst.proposal(round);
+  const util::Payload& proposal = *inst.proposal(round);
 
   util::ByteWriter w(proposal.size() + 16);
   w.u8(kProposal);
@@ -290,7 +290,7 @@ void ChandraTouegConsensus::broadcast_decision(Instance& inst,
                                         framework::RbcastBody{w.take()}));
 }
 
-void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Bytes value) {
+void ChandraTouegConsensus::decide_local(std::uint64_t k, util::Payload value) {
   if (rounds_.decided(k)) return;
   ++stats_.decided;
   std::uint32_t round = 0;
@@ -341,13 +341,15 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
-      on_estimate(from, k, round, ts, r.blob());
+      const std::uint32_t len = r.u32();
+      on_estimate(from, k, round, ts, msg.slice(r.position(), len));
       break;
     }
     case kProposal: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      on_proposal(from, k, round, r.blob());
+      const std::uint32_t len = r.u32();
+      on_proposal(from, k, round, msg.slice(r.position(), len));
       break;
     }
     case kAck: {
@@ -373,7 +375,8 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
     }
     case kFull: {
       const std::uint64_t k = r.u64();
-      decide_local(k, r.blob());
+      const std::uint32_t len = r.u32();
+      decide_local(k, msg.slice(r.position(), len));
       break;
     }
     default:
@@ -383,7 +386,7 @@ void ChandraTouegConsensus::on_wire(util::ProcessId from,
 
 void ChandraTouegConsensus::on_estimate(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round, std::uint32_t ts,
-                                        util::Bytes value) {
+                                        util::Payload value) {
   Instance* inst = rounds_.open(k);
   if (inst == nullptr) return;
   inst->at(round).record(from, ts, std::move(value));
@@ -392,7 +395,7 @@ void ChandraTouegConsensus::on_estimate(util::ProcessId from, std::uint64_t k,
 
 void ChandraTouegConsensus::on_proposal(util::ProcessId from, std::uint64_t k,
                                         std::uint32_t round,
-                                        util::Bytes value) {
+                                        util::Payload value) {
   Instance* inst = rounds_.open(k);
   if (inst == nullptr) return;
   inst->at(round).proposal = std::move(value);
@@ -462,7 +465,7 @@ void ChandraTouegConsensus::on_revalidate(std::uint64_t k) {
     const std::uint32_t round = inst->extra.propose->first;
     if (rounds_.coordinator(round) == stack_->self() &&
         !inst->proposed(round) && value_ok(k, inst->extra.propose->second)) {
-      util::Bytes value = std::move(inst->extra.propose->second);
+      util::Payload value = std::move(inst->extra.propose->second);
       inst->extra.propose.reset();
       do_propose(*inst, round, std::move(value));
     }
@@ -499,7 +502,7 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
     const std::uint32_t round = r.u32();
     Instance* inst = rounds_.open(k);
     if (inst == nullptr) return;
-    if (const util::Bytes* value = inst->proposal(round)) {
+    if (const util::Payload* value = inst->proposal(round)) {
       decide_local(k, *value);
     } else {
       // We never saw the proposal the tag refers to: pull the full value.
@@ -509,7 +512,8 @@ void ChandraTouegConsensus::on_rdeliver(util::ProcessId origin,
   } else if (kind == kDecisionFull) {
     const std::uint64_t k = r.u64();
     r.u32();  // round (diagnostic only)
-    decide_local(k, r.blob());
+    const std::uint32_t len = r.u32();
+    decide_local(k, payload.slice(r.position(), len));
   } else {
     MODCAST_WARN("consensus: unknown rdeliver kind " + std::to_string(kind));
   }

@@ -77,7 +77,7 @@ class ChandraTouegConsensus final : public framework::Module {
   /// may have changed. With no validator installed, behaviour is the
   /// classic black-box consensus.
   using Validator =
-      std::function<bool(std::uint64_t instance, const util::Bytes& value)>;
+      std::function<bool(std::uint64_t instance, const util::Payload& value)>;
 
   explicit ChandraTouegConsensus(ConsensusConfig config = {},
                                  const fd::HeartbeatFd* fd = nullptr)
@@ -91,11 +91,11 @@ class ChandraTouegConsensus final : public framework::Module {
   /// Proposes `value` for instance k. The first value bound to an instance
   /// at this process becomes its initial estimate; later calls for the same
   /// instance are ignored.
-  void propose(std::uint64_t k, util::Bytes value);
+  void propose(std::uint64_t k, util::Payload value);
 
   bool has_decided(std::uint64_t k) const { return rounds_.decided(k); }
   /// Decision value, or nullptr if undecided or dropped by retention.
-  const util::Bytes* decision(std::uint64_t k) const {
+  const util::Payload* decision(std::uint64_t k) const {
     const rounds::Decided* d = rounds_.decision(k);
     return d == nullptr ? nullptr : &d->value;
   }
@@ -112,17 +112,17 @@ class ChandraTouegConsensus final : public framework::Module {
     /// Proposal round awaiting validation before we may ack it.
     std::optional<std::uint32_t> ack_round;
     /// Chosen (round, value) awaiting validation before we may propose it.
-    std::optional<std::pair<std::uint32_t, util::Bytes>> propose;
+    std::optional<std::pair<std::uint32_t, util::Payload>> propose;
     runtime::TimerId nudge_timer = runtime::kInvalidTimer;
     runtime::TimerId pull_timer = runtime::kInvalidTimer;
   };
   using Instance = rounds::RoundEngine<Pending>::Open;
 
-  bool value_ok(std::uint64_t k, const util::Bytes& value) const;
+  bool value_ok(std::uint64_t k, const util::Payload& value) const;
   void adopt_and_ack(Instance& inst, std::uint32_t round);
   void on_revalidate(std::uint64_t k);
 
-  void do_propose(Instance& inst, std::uint32_t round, util::Bytes value);
+  void do_propose(Instance& inst, std::uint32_t round, util::Payload value);
   void rotate(Instance& inst);
   void send_estimate(Instance& inst, std::uint32_t round,
                      util::ProcessId coord);
@@ -130,7 +130,7 @@ class ChandraTouegConsensus final : public framework::Module {
   void check_estimates(Instance& inst, std::uint32_t round);
   /// Sends kFull(k) to `to` when k's value is retained; false otherwise.
   bool send_decision(util::ProcessId to, std::uint64_t k);
-  void decide_local(std::uint64_t k, util::Bytes value);
+  void decide_local(std::uint64_t k, util::Payload value);
   void broadcast_decision(Instance& inst, std::uint32_t round);
   void start_pull(Instance& inst);
   void arm_nudge(Instance& inst);
@@ -140,9 +140,9 @@ class ChandraTouegConsensus final : public framework::Module {
   void on_suspect(util::ProcessId q);
 
   void on_estimate(util::ProcessId from, std::uint64_t k, std::uint32_t round,
-                   std::uint32_t ts, util::Bytes value);
+                   std::uint32_t ts, util::Payload value);
   void on_proposal(util::ProcessId from, std::uint64_t k, std::uint32_t round,
-                   util::Bytes value);
+                   util::Payload value);
   void on_ack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
   void on_nack(util::ProcessId from, std::uint64_t k, std::uint32_t round);
   void on_solicit(util::ProcessId from, std::uint64_t k, std::uint32_t round);

@@ -42,7 +42,7 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
       // The extended consensus specification ([12]): consensus defers acks
       // and proposals on values whose payloads this process does not hold.
       consensus_->set_proposal_validator(
-          [ab = modular_.get()](std::uint64_t k, const util::Bytes& value) {
+          [ab = modular_.get()](std::uint64_t k, const util::Payload& value) {
             return ab->validate_value(k, value);
           });
     }

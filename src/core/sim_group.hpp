@@ -136,6 +136,8 @@ class SimGroup {
 
  private:
   void arm_watchdog();
+  /// One watchdog probe; schedules the next one.
+  void watchdog_tick();
 
   SimGroupConfig config_;
   std::unique_ptr<runtime::SimWorld> world_;

@@ -27,10 +27,6 @@ using ModuleId = std::uint8_t;
 
 struct Event {
   EventType type = 0;
-  /// Network events: the remote peer (sender on deliver). Unused otherwise.
-  util::ProcessId peer = util::kInvalidProcess;
-  /// Serialized payload for events that came from / go to the wire.
-  util::Bytes payload;
   /// Typed body for local inter-module events (black-box to other modules).
   std::shared_ptr<void> body;
 
@@ -79,10 +75,12 @@ inline constexpr ModuleId kModFd = 4;
 inline constexpr ModuleId kModMonolithic = 5;
 
 /// Body of kEvPropose / kEvDecide: a consensus instance number and an opaque
-/// serialized value (the consensus module must not interpret it).
+/// serialized value (the consensus module must not interpret it). Payload,
+/// not Bytes: a decided value is a view of the frame it arrived in, shared
+/// with the consensus module's decided store.
 struct ConsensusValueBody {
   std::uint64_t instance = 0;
-  util::Bytes value;
+  util::Payload value;
 };
 
 /// Body of kEvProposeRequest.

@@ -220,7 +220,7 @@ bool MonolithicAbcast::try_start_instance() {
 
   Instance& inst = *rounds_.open(k);
   rounds_.propose(inst, 1, adb::encode_batch(batch));
-  const util::Bytes& value = *inst.proposal(1);
+  const util::Payload& value = *inst.proposal(1);
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -334,7 +334,7 @@ void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
 void MonolithicAbcast::coordinator_decided(Instance& inst,
                                            std::uint32_t round) {
   const std::uint64_t k = inst.k;
-  util::Bytes batch = *inst.proposal(round);
+  const util::Payload batch = *inst.proposal(round);
   decide(k, round, batch);  // applies locally (releasing inst), admits more
 
   if (round > 1) {
@@ -428,7 +428,7 @@ void MonolithicAbcast::send_nack(util::ProcessId to, std::uint64_t k,
   stack_->send_wire(to, framework::kModMonolithic, w.take());
 }
 
-bool MonolithicAbcast::batch_is_empty(const util::Bytes& value) {
+bool MonolithicAbcast::batch_is_empty(const util::Payload& value) {
   if (value.size() < 4) return true;
   util::ByteReader r(value);
   return r.u32() == 0;
@@ -485,7 +485,7 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
   }
   if (best->ts == 0 && batch_is_empty(best->value)) return;  // hold
   rounds_.propose(inst, round, best->value);
-  const util::Bytes& value = *inst.proposal(round);
+  const util::Payload& value = *inst.proposal(round);
 
   util::ByteWriter w(value.size() + 32);
   w.u8(kProposal);
@@ -523,7 +523,7 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
 
 void MonolithicAbcast::handle_proposal(util::ProcessId from, std::uint64_t k,
                                        std::uint32_t round,
-                                       util::Bytes batch) {
+                                       util::Payload batch) {
   Instance* inst = rounds_.open(k);
   if (inst == nullptr) return;  // decided (stale instance)
   inst->at(round).proposal = std::move(batch);
@@ -565,7 +565,7 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
                                             std::uint32_t round) {
   Instance* inst = rounds_.open(k);
   if (inst == nullptr) return;  // already decided (possibly dropped)
-  if (const util::Bytes* value = inst->proposal(round)) {
+  if (const util::Payload* value = inst->proposal(round)) {
     decide(k, round, *value);
     return;
   }
@@ -574,7 +574,7 @@ void MonolithicAbcast::resolve_decision_tag(std::uint64_t k,
 }
 
 void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
-                              util::Bytes batch) {
+                              util::Payload batch) {
   if (rounds_.decided(k)) return;  // already decided (possibly dropped)
   stats_.max_round = std::max(stats_.max_round, round);
   if (round > 1) ++stats_.late_decisions;
@@ -601,7 +601,7 @@ void MonolithicAbcast::apply_ready_decisions() {
     }
     auto it = ready_decisions_.find(next_decide_);
     if (it == ready_decisions_.end()) break;
-    std::vector<adb::AppMessage> batch = adb::decode_batch(it->second);
+    std::vector<adb::AppMessage> batch = adb::decode_batch(it->second.span());
     ready_decisions_.erase(it);
 
     std::sort(batch.begin(), batch.end(),
@@ -654,7 +654,7 @@ void MonolithicAbcast::recheck_active_estimates() {
   if (inst->estimate_ts != 0) return;
   rounds::Round* r = inst->find(inst->round);
   if (r == nullptr || !r->estimate_sent) return;
-  util::Bytes fresh = build_estimate_value();
+  util::Payload fresh = build_estimate_value();
   if (fresh == inst->estimate) return;  // nothing new
   inst->estimate = std::move(fresh);
   r->estimate_sent = false;
@@ -695,7 +695,7 @@ void MonolithicAbcast::start_pull(Instance& inst) {
 
 void MonolithicAbcast::broadcast_decision_fallback(std::uint64_t k,
                                                    std::uint32_t round,
-                                                   const util::Bytes& batch,
+                                                   const util::Payload& batch,
                                                    bool relay_seen) {
   util::ByteWriter w(batch.size() + 16);
   w.u8(kDecisionFull);
@@ -726,14 +726,13 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
         resolve_decision_tag(dec_k, dec_round);
       }
       const std::uint64_t k = r.u64();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, 1, std::move(batch));
+      handle_proposal(from, k, 1, msg.slice(r.position()));
       break;
     }
     case kAck: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes piggy(r.rest().begin(), r.rest().end());
+      const std::span<const std::uint8_t> piggy = r.rest();
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
       if (Instance* inst = rounds_.open(k)) {
         if (rounds_.ack(*inst, round, from)) coordinator_decided(*inst, round);
@@ -743,7 +742,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kForward: {
-      util::Bytes batch(r.rest().begin(), r.rest().end());
+      const std::span<const std::uint8_t> batch = r.rest();
       for (auto& m : adb::decode_batch(batch)) pool_add(std::move(m));
       start_instances();
       // If we coordinate a held recovery round, the fresh pool content may
@@ -773,8 +772,10 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
       const std::uint32_t ts = r.u32();
-      util::Bytes est = r.blob();
-      util::Bytes piggy(r.rest().begin(), r.rest().end());
+      const std::uint32_t len = r.u32();
+      util::Payload est = msg.slice(r.position(), len);
+      r.skip(len);
+      const std::span<const std::uint8_t> piggy = r.rest();
       for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
       Instance* inst = rounds_.open(k);
       if (inst == nullptr) {
@@ -788,14 +789,13 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kProposal: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      handle_proposal(from, k, round, std::move(batch));
+      handle_proposal(from, k, round, msg.slice(r.position()));
       break;
     }
     case kDecisionFull: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
+      const util::Payload batch = msg.slice(r.position());
       const bool first = relayed_decisions_.mark(kRelayFullChannel, k);
       decide(k, round, batch);
       if (first) {
@@ -827,8 +827,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kFullReply: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      util::Bytes batch(r.rest().begin(), r.rest().end());
-      decide(k, round, std::move(batch));
+      decide(k, round, msg.slice(r.position()));
       break;
     }
     case kSolicit: {

@@ -128,6 +128,8 @@ class MonolithicAbcast final : public framework::Module {
   std::size_t in_flight() const { return in_flight_; }
   std::uint64_t next_decide() const { return next_decide_; }
   std::size_t pool_size() const { return pool_.live(); }
+  /// The round engine: coordinators, quorum, decided store.
+  const auto& rounds() const { return rounds_; }
 
  private:
   /// This module's per-instance fields beside the engine's round record.
@@ -169,7 +171,7 @@ class MonolithicAbcast final : public framework::Module {
   void send_nack(util::ProcessId to, std::uint64_t k, std::uint32_t round);
   void check_estimates(Instance& inst, std::uint32_t round);
   void handle_proposal(util::ProcessId from, std::uint64_t k,
-                       std::uint32_t round, util::Bytes batch);
+                       std::uint32_t round, util::Payload batch);
   void send_ack(Instance& inst, std::uint32_t round, util::ProcessId coord);
 
   // --- decisions ---
@@ -181,14 +183,15 @@ class MonolithicAbcast final : public framework::Module {
   /// laggard catches up at one instance per round trip instead of one per
   /// liveness timeout.
   bool reply_decision_if_known(util::ProcessId to, std::uint64_t k);
-  void decide(std::uint64_t k, std::uint32_t round, util::Bytes batch);
+  void decide(std::uint64_t k, std::uint32_t round, util::Payload batch);
   void apply_ready_decisions();
   void start_pull(Instance& inst);
   void broadcast_decision_fallback(std::uint64_t k, std::uint32_t round,
-                                   const util::Bytes& batch, bool relay_seen);
+                                   const util::Payload& batch,
+                                   bool relay_seen);
   bool is_designated_resender(util::ProcessId origin,
                               util::ProcessId relay) const;
-  static bool batch_is_empty(const util::Bytes& value);
+  static bool batch_is_empty(const util::Payload& value);
   void recheck_active_estimates();
 
   // --- wire ---
@@ -226,7 +229,8 @@ class MonolithicAbcast final : public framework::Module {
   /// COMBINED proposal. Each new proposal pops the front as its ride-along
   /// tag; leftovers are flushed as standalone tags.
   std::deque<std::uint64_t> untagged_decisions_;
-  std::map<std::uint64_t, util::Bytes> ready_decisions_;
+  /// Decided values awaiting application: views shared with rounds_.
+  std::map<std::uint64_t, util::Payload> ready_decisions_;
   util::SeqTracker relayed_decisions_;  ///< dedup for fallback relaying
 
   util::TimePoint last_activity_ = 0;

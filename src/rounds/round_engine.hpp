@@ -13,6 +13,8 @@
 // round, its estimate with the adoption timestamp, and one flat entry per
 // round touched (good runs touch round 1 only). An instance leaves the open
 // table when it decides; the decided store keeps only its value and round.
+// Values are util::Payload views, normally of the frame a value arrived in:
+// proposing, adopting, recording and deciding share that one buffer.
 // The decided watermark is contiguous (every instance below it is decided),
 // so an instance stays decided after retention drops its value, no instance
 // opens below it, and retention never drops a value at or above it.
@@ -34,7 +36,7 @@ namespace modcast::rounds {
 struct Estimate {
   util::ProcessId sender = 0;
   std::uint32_t ts = 0;  ///< round of adoption; 0 = initial value
-  util::Bytes value;
+  util::Payload value;
 
   friend bool operator==(const Estimate&, const Estimate&) = default;
 };
@@ -48,14 +50,14 @@ struct Round {
   bool estimate_sent = false;  ///< we sent our estimate for this round
   bool solicited = false;      ///< we solicited estimates (coordinator)
   bool own_estimate = false;   ///< our own estimate is among `estimates`
-  std::optional<util::Bytes> proposal;
+  std::optional<util::Payload> proposal;
   std::vector<util::ProcessId> ack_senders;
   /// Arrival order, one entry per sender.
   std::vector<Estimate> estimates;
 
   /// Records `sender`'s estimate; a refreshed one replaces the sender's
   /// earlier estimate instead of counting twice.
-  void record(util::ProcessId sender, std::uint32_t ts, util::Bytes value) {
+  void record(util::ProcessId sender, std::uint32_t ts, util::Payload value) {
     for (Estimate& e : estimates) {
       if (e.sender == sender) {
         e.ts = ts;
@@ -85,11 +87,11 @@ struct Instance {
   std::uint32_t round = 1;
   bool has_estimate = false;
   std::uint32_t estimate_ts = 0;  ///< round of adoption; 0 = initial value
-  util::Bytes estimate;
+  util::Payload estimate;
   std::vector<Round> rounds;  ///< in order of first touch
 
   /// Binds an initial (unlocked) estimate.
-  void set_initial(util::Bytes value) {
+  void set_initial(util::Payload value) {
     estimate = std::move(value);
     estimate_ts = 0;
     has_estimate = true;
@@ -110,7 +112,7 @@ struct Instance {
     rounds.back().number = r;
     return rounds.back();
   }
-  const util::Bytes* proposal(std::uint32_t r) const {
+  const util::Payload* proposal(std::uint32_t r) const {
     const Round* x = find(r);
     return x == nullptr || !x->proposal ? nullptr : &*x->proposal;
   }
@@ -124,7 +126,7 @@ struct Instance {
 
 /// All the decided store keeps of a decided instance.
 struct Decided {
-  util::Bytes value;
+  util::Payload value;
   std::uint32_t round = 0;
 
   friend bool operator==(const Decided&, const Decided&) = default;
@@ -201,7 +203,7 @@ class RoundEngine {
   // --- rounds of one instance ---
   /// Coordinator proposal: `value` becomes the round's proposal and our
   /// estimate locked at `round`.
-  void propose(Instance& inst, std::uint32_t round, util::Bytes value) const {
+  void propose(Instance& inst, std::uint32_t round, util::Payload value) const {
     inst.round = std::max(inst.round, round);
     inst.estimate = value;
     inst.estimate_ts = round;
@@ -312,7 +314,7 @@ class RoundEngine {
   /// k's record leaves the open table (references to it dangle) and the
   /// decided store keeps `value` and `round`, advances the watermark and
   /// applies retention, which never drops the value just stored.
-  void decide(std::uint64_t k, std::uint32_t round, util::Bytes value) {
+  void decide(std::uint64_t k, std::uint32_t round, util::Payload value) {
     open_.erase(k);
     decided_.try_emplace(k, Decided{std::move(value), round});
     while (decided_.count(watermark_) != 0) ++watermark_;

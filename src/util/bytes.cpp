@@ -124,6 +124,11 @@ Bytes ByteReader::raw(std::size_t n) {
   return out;
 }
 
+void ByteReader::skip(std::size_t n) {
+  need(n);
+  pos_ += n;
+}
+
 std::size_t varint_size(std::uint64_t v) {
   std::size_t n = 1;
   while (v >= 0x80) {

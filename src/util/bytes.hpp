@@ -7,6 +7,7 @@
 // are available where the paper's header-size arguments matter.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,6 +129,13 @@ class Payload {
     return out;
   }
 
+  /// Byte-wise: equal bytes are equal whatever buffer or offset holds them.
+  friend bool operator==(const Payload& a, const Payload& b) {
+    const auto x = a.span();
+    const auto y = b.span();
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  }
+
   // --- introspection (tests assert the zero-copy properties) ---------------
   bool shares_buffer(const Payload& other) const {
     return buf_ != nullptr && buf_ == other.buf_;
@@ -205,6 +213,8 @@ class ByteReader {
 
   /// Reads exactly n raw bytes.
   Bytes raw(std::size_t n);
+  /// Consumes n bytes without copying them (the caller took a view).
+  void skip(std::size_t n);
 
   /// Returns the remaining unread bytes without consuming them.
   std::span<const std::uint8_t> rest() const { return data_.subspan(pos_); }

@@ -49,6 +49,8 @@ class FaultInjector {
  private:
   void arm_partition(const Partition& cut);
   void arm_instance_crash(const CrashOnInstance& c);
+  /// One poll of an instance-pinned crash; re-arms until it fires.
+  void poll_instance_crash(const CrashOnInstance& c);
   void arm_suspicions(const SuspicionBurst& burst);
   void notify(const std::string& what);
 

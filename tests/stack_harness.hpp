@@ -57,7 +57,7 @@ struct Node {
     });
     stack.bind(framework::kEvDecide, [this](const framework::Event& ev) {
       auto& body = ev.as<framework::ConsensusValueBody>();
-      decided[body.instance] = body.value;
+      decided[body.instance] = body.value.to_bytes();
     });
     stack.bind(framework::kEvSuspect, [this](const framework::Event& ev) {
       suspect_events.push_back(ev.as<framework::SuspicionBody>().process);

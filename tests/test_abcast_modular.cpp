@@ -259,6 +259,24 @@ TEST(ModularAbcastDeterminism, SameSeedSameRun) {
   }
 }
 
+// Zero-copy value path: a non-coordinator decides on a view of the proposal
+// frame it received, and the coordinator sent one frame to every peer, so
+// the non-coordinators' decided values share one buffer.
+TEST(ModularZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
+  core::SimGroup group(modular_config(3));
+  group.start();
+  feed(group, 1, 1, milliseconds(1), milliseconds(1), 1024);
+  group.run_until(seconds(1));
+  ASSERT_EQ(group.deliveries(2).size(), 1u);
+  auto decided = [&group](util::ProcessId p) {
+    return group.process(p).consensus_module()->decision(0);
+  };
+  ASSERT_NE(decided(1), nullptr);
+  ASSERT_NE(decided(2), nullptr);
+  EXPECT_TRUE(decided(1)->shares_buffer(*decided(2)));
+  EXPECT_EQ(*decided(1), *decided(0));
+}
+
 // Regression: a size-triggered proposal that drains the batcher must cancel
 // the pending δ-timer instead of leaving it to fire as a no-op. Periodic
 // timers (FD heartbeats, liveness tick) keep exactly one arm outstanding, so

@@ -128,6 +128,24 @@ TEST(MonolithicLowLoad, StandaloneDecisionWhenIdle) {
   EXPECT_EQ(s0.combined_sent, 0u);
 }
 
+// Zero-copy value path: a non-coordinator decides on a view of the COMBINED
+// frame it received, and the coordinator sent one frame to every peer, so
+// the non-coordinators' decided values share one buffer.
+TEST(MonolithicZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
+  core::SimGroup group(mono_config(3));
+  group.start();
+  feed(group, 1, 1, milliseconds(1), milliseconds(1), 1024);
+  group.run_until(seconds(1));
+  ASSERT_EQ(group.deliveries(2).size(), 1u);
+  auto decided = [&group](util::ProcessId p) {
+    return group.process(p).monolithic()->rounds().decision(0);
+  };
+  ASSERT_NE(decided(1), nullptr);
+  ASSERT_NE(decided(2), nullptr);
+  EXPECT_TRUE(decided(1)->value.shares_buffer(decided(2)->value));
+  EXPECT_EQ(decided(1)->value, decided(0)->value);
+}
+
 TEST(MonolithicCrash, NonCoordinatorCrashDoesNotBlockOthers) {
   core::SimGroup group(mono_config(3));
   group.start();

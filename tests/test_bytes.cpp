@@ -180,6 +180,37 @@ TEST(Payload, ToBytesCopiesAndLeavesSharedBufferIntact) {
   EXPECT_EQ(view.to_bytes(), (Bytes{2, 3}));
 }
 
+TEST(Payload, EqualityIsByteWise) {
+  Payload a{Bytes{1, 2, 3}};
+  Payload b{Bytes{1, 2, 3}};
+  EXPECT_FALSE(a.shares_buffer(b));
+  EXPECT_EQ(a, b);  // equal bytes in different buffers
+  Payload framed{Bytes{9, 1, 2, 3, 9}};
+  EXPECT_EQ(framed.slice(1, 3), a);  // ... and at a different offset
+  EXPECT_NE(framed.slice(1, 2), a);  // a shorter view is not equal
+  EXPECT_NE(framed.slice(0, 3), a);
+  EXPECT_EQ(Payload{}, Payload{Bytes{}});  // with and without a buffer
+}
+
+TEST(Bytes, SkipConsumesAndThrowsPastTheEnd) {
+  const Bytes data{1, 2, 3, 4, 5};
+  ByteReader r(data);
+  r.skip(2);
+  EXPECT_EQ(r.position(), 2u);
+  EXPECT_EQ(r.u8(), 3);
+  try {
+    r.skip(3);
+    FAIL() << "expected TruncatedReadError";
+  } catch (const TruncatedReadError& e) {
+    EXPECT_EQ(e.offset(), 3u);
+    EXPECT_EQ(e.requested(), 3u);
+    EXPECT_EQ(e.available(), 2u);
+  }
+  EXPECT_EQ(r.position(), 3u);  // a failed skip consumes nothing
+  r.skip(2);
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Payload, DetachStealsWhenSoleOwner) {
   Payload p{Bytes(256, 0xcd)};
   const std::uint8_t* before = p.data();

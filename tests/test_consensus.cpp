@@ -244,7 +244,7 @@ TEST(ConsensusApi, DecisionAccessors) {
   h.run_until(seconds(1));
   EXPECT_TRUE(h.node(0).cons.has_decided(0));
   ASSERT_NE(h.node(0).cons.decision(0), nullptr);
-  EXPECT_EQ(string_of(*h.node(0).cons.decision(0)), "v");
+  EXPECT_EQ(string_of(h.node(0).cons.decision(0)->to_bytes()), "v");
   EXPECT_FALSE(h.node(0).cons.has_decided(99));
   EXPECT_EQ(h.node(0).cons.decision(99), nullptr);
 }

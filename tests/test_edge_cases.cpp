@@ -30,7 +30,7 @@ TEST(ConsensusValidator, DeferredAckBlocksDecisionUntilRevalidate) {
   int validator_calls = 0;
   for (util::ProcessId p = 1; p < 3; ++p) {
     h.node(p).cons.set_proposal_validator(
-        [&released, &validator_calls](std::uint64_t, const util::Bytes&) {
+        [&released, &validator_calls](std::uint64_t, const util::Payload&) {
           ++validator_calls;
           return released;
         });
@@ -55,7 +55,7 @@ TEST(ConsensusValidator, DeferredAckBlocksDecisionUntilRevalidate) {
   h.run_until(milliseconds(400));
   for (util::ProcessId p = 0; p < 3; ++p) {
     ASSERT_TRUE(h.node(p).cons.has_decided(0)) << "process " << p;
-    EXPECT_EQ(string_of(*h.node(p).cons.decision(0)), "gated");
+    EXPECT_EQ(string_of(h.node(p).cons.decision(0)->to_bytes()), "gated");
   }
 }
 
@@ -63,7 +63,7 @@ TEST(ConsensusValidator, PassingValidatorIsTransparent) {
   NodeHarness h(3, 1, fast_fd());
   for (util::ProcessId p = 0; p < 3; ++p) {
     h.node(p).cons.set_proposal_validator(
-        [](std::uint64_t, const util::Bytes&) { return true; });
+        [](std::uint64_t, const util::Payload&) { return true; });
   }
   h.start();
   for (util::ProcessId p = 0; p < 3; ++p) h.propose_at(milliseconds(5), p, 0, "v");
@@ -107,7 +107,7 @@ TEST(ConsensusRetention, DroppedDecisionIsNotDecidedAgain) {
                          [&decides, p](const framework::Event& ev) {
                            auto& body = ev.as<framework::ConsensusValueBody>();
                            decides[p][body.instance].push_back(
-                               string_of(body.value));
+                               string_of(body.value.to_bytes()));
                          });
   }
   auto cut_off_p2 = [&h](bool blocked) {
