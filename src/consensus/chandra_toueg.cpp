@@ -1,7 +1,6 @@
 #include "consensus/chandra_toueg.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/bytes.hpp"
 #include "util/log.hpp"
@@ -22,6 +21,9 @@ constexpr std::uint8_t kSolicit = 7;
 // Decision payload kinds carried inside the reliable broadcast.
 constexpr std::uint8_t kDecisionTag = 10;
 constexpr std::uint8_t kDecisionFull = 11;
+
+// kProposal's fields before the value: kind, k, round, value length.
+constexpr std::size_t kProposalHeader = 1 + 8 + 4 + 4;
 
 }  // namespace
 
@@ -126,15 +128,18 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
-  rounds_.propose(inst, round, std::move(value));
-  const util::Payload& proposal = *inst.proposal(round);
-
-  util::ByteWriter w(proposal.size() + 16);
+  // Room for the header, the value and the module-id byte the stack frames
+  // in place.
+  util::ByteWriter w(kProposalHeader + value.size() + 1);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
-  w.blob(proposal);
-  stack_->send_wire_to_others(framework::kModConsensus, w.take());
+  w.blob(value);
+  const util::Payload sent =
+      stack_->send_wire_to_others(framework::kModConsensus, w.take());
+  // The proposal is a view of the frame sent, so the coordinator, its n−1
+  // peers and the decided store share one buffer.
+  rounds_.propose(inst, round, sent.slice(kProposalHeader));
 
   if (rounds_.quorum(inst, round)) broadcast_decision(inst, round);
 }

@@ -38,20 +38,28 @@ void Stack::raise(Event event) {
 }
 
 util::Payload Stack::frame(ModuleId module_id,
-                           const util::Payload& payload) const {
+                           const util::Payload& payload) {
   util::ByteWriter w(payload.size() + 1);
   w.u8(module_id);
   w.raw(payload);
   return util::Payload(w.take());
 }
 
+util::Payload Stack::frame(ModuleId module_id, util::Bytes body) {
+  // A retained view pins its buffer's whole capacity, so a writer that left
+  // no spare byte gets exactly one more instead of a doubled buffer.
+  if (body.size() == body.capacity()) body.reserve(body.size() + 1);
+  body.insert(body.begin(), module_id);
+  return util::Payload(std::move(body));
+}
+
 void Stack::send_framed(util::ProcessId to, ModuleId module_id,
-                        const util::Payload& framed,
-                        std::size_t payload_size) {
+                        const util::Payload& framed) {
+  const std::size_t payload_size = framed.size() - 1;
   ++counters_.wire_sends;
   auto& wc = wire_counters_[module_id];
   ++wc.messages_sent;
-  wc.bytes_sent += payload_size + 1;
+  wc.bytes_sent += framed.size();
   if (tracer_) {
     tracer_(TraceRecord{rt_->now(), rt_->self(), TraceKind::kWireSend,
                         module_id, to, payload_size, trace_ctx_.instance,
@@ -61,9 +69,18 @@ void Stack::send_framed(util::ProcessId to, ModuleId module_id,
   rt_->send(to, framed);
 }
 
-void Stack::send_wire(util::ProcessId to, ModuleId module_id,
-                      const util::Payload& payload) {
-  send_framed(to, module_id, frame(module_id, payload), payload.size());
+util::Payload Stack::send_wire(util::ProcessId to, ModuleId module_id,
+                               const util::Payload& payload) {
+  const util::Payload framed = frame(module_id, payload);
+  send_framed(to, module_id, framed);
+  return framed.slice(1);
+}
+
+util::Payload Stack::send_wire(util::ProcessId to, ModuleId module_id,
+                               util::Bytes body) {
+  const util::Payload framed = frame(module_id, std::move(body));
+  send_framed(to, module_id, framed);
+  return framed.slice(1);
 }
 
 const ModuleWireCounters& Stack::wire_counters(ModuleId module_id) const {
@@ -74,14 +91,24 @@ void Stack::reset_wire_counters() {
   wire_counters_.fill(ModuleWireCounters{});
 }
 
-void Stack::send_wire_to_others(ModuleId module_id,
-                                const util::Payload& payload) {
+util::Payload Stack::send_wire_to_others(ModuleId module_id,
+                                         const util::Payload& payload) {
+  return send_framed_to_others(module_id, frame(module_id, payload));
+}
+
+util::Payload Stack::send_wire_to_others(ModuleId module_id,
+                                         util::Bytes body) {
+  return send_framed_to_others(module_id, frame(module_id, std::move(body)));
+}
+
+util::Payload Stack::send_framed_to_others(ModuleId module_id,
+                                           const util::Payload& framed) {
   const auto n = static_cast<util::ProcessId>(rt_->group_size());
   // One serialization; every destination shares the ref-counted frame.
-  const util::Payload framed = frame(module_id, payload);
   for (util::ProcessId p = 0; p < n; ++p) {
-    if (p != rt_->self()) send_framed(p, module_id, framed, payload.size());
+    if (p != rt_->self()) send_framed(p, module_id, framed);
   }
+  return framed.slice(1);
 }
 
 void Stack::start() {

@@ -89,12 +89,21 @@ class Stack final : public runtime::Protocol {
   void raise(Event event);
 
   /// Sends `payload` to process `to`, prefixed with the module-id header.
-  void send_wire(util::ProcessId to, ModuleId module_id,
-                 const util::Payload& payload);
+  /// Both forms return the body view they sent. A `Payload` the caller
+  /// still shares is framed by copy. `util::Bytes` (moved from
+  /// `writer.take()`, or copied from a named buffer) are framed in place,
+  /// so the returned view shares the buffer `to` receives.
+  util::Payload send_wire(util::ProcessId to, ModuleId module_id,
+                          const util::Payload& payload);
+  util::Payload send_wire(util::ProcessId to, ModuleId module_id,
+                          util::Bytes body);
 
   /// Sends the same payload to every other process in the group. The framed
-  /// message is built once and shared (ref-counted) across all n-1 sends.
-  void send_wire_to_others(ModuleId module_id, const util::Payload& payload);
+  /// message is built once and shared (ref-counted) across all n-1 sends;
+  /// framing and the returned view are as for send_wire().
+  util::Payload send_wire_to_others(ModuleId module_id,
+                                    const util::Payload& payload);
+  util::Payload send_wire_to_others(ModuleId module_id, util::Bytes body);
 
   const StackCounters& counters() const { return counters_; }
 
@@ -122,13 +131,18 @@ class Stack final : public runtime::Protocol {
   void on_message(util::ProcessId from, util::Payload msg) override;
 
  private:
-  /// Frames `payload` with the 1-byte module-id header.
-  util::Payload frame(ModuleId module_id, const util::Payload& payload) const;
+  /// Frames a body with the 1-byte module-id header: a copy of a shared
+  /// `payload`, or in place in an owned `body`.
+  static util::Payload frame(ModuleId module_id, const util::Payload& payload);
+  static util::Payload frame(ModuleId module_id, util::Bytes body);
 
   /// Accounts and ships one already-framed message (per-destination
   /// counters/trace/CPU charge happen here so fan-out stays faithful).
   void send_framed(util::ProcessId to, ModuleId module_id,
-                   const util::Payload& framed, std::size_t payload_size);
+                   const util::Payload& framed);
+  /// Ships `framed` to every other process; returns its body view.
+  util::Payload send_framed_to_others(ModuleId module_id,
+                                      const util::Payload& framed);
 
   runtime::Runtime* rt_;
   util::Duration crossing_cost_;

@@ -1,7 +1,6 @@
 #include "monolithic/monolithic_abcast.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 
 #include "util/log.hpp"
@@ -219,8 +218,7 @@ bool MonolithicAbcast::try_start_instance() {
   if (batch.empty()) return false;
 
   Instance& inst = *rounds_.open(k);
-  rounds_.propose(inst, 1, adb::encode_batch(batch));
-  const util::Payload& value = *inst.proposal(1);
+  const util::Bytes value = adb::encode_batch(batch);
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -247,11 +245,16 @@ bool MonolithicAbcast::try_start_instance() {
     ++stats_.combined_sent;
   }
   w.u64(k);
+  const std::size_t at = w.size();
   w.raw(value);
+  util::Payload sent;
   {
     framework::TraceScope scope(*stack_, k, batch_app_bytes(batch));
-    stack_->send_wire_to_others(framework::kModMonolithic, w.take());
+    sent = stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
+  // The proposal is a view of the frame sent, so the coordinator, its n−1
+  // peers and the decided store share one buffer.
+  rounds_.propose(inst, 1, sent.slice(at));
 
   next_start_ = k + 1;
   stats_.max_inflight_instances = std::max<std::uint64_t>(
@@ -484,18 +487,19 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
     if (best == nullptr || better(e, *best)) best = &e;
   }
   if (best->ts == 0 && batch_is_empty(best->value)) return;  // hold
-  rounds_.propose(inst, round, best->value);
-  const util::Payload& value = *inst.proposal(round);
 
-  util::ByteWriter w(value.size() + 32);
+  util::ByteWriter w(best->value.size() + 32);
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
-  w.raw(value);
+  const std::size_t at = w.size();
+  w.raw(best->value);
+  util::Payload sent;
   {
     framework::TraceScope scope(*stack_, inst.k, 0);
-    stack_->send_wire_to_others(framework::kModMonolithic, w.take());
+    sent = stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
+  rounds_.propose(inst, round, sent.slice(at));  // a view, as in round 1
   arm_retransmit(inst, round);
   if (rounds_.quorum(inst, round)) coordinator_decided(inst, round);
 }

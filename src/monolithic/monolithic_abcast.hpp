@@ -218,7 +218,6 @@ class MonolithicAbcast final : public framework::Module {
   // every process pools every diffused message, like the modular stack).
   adb::Batcher pool_;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger
-  util::SeqTracker seen_;
   util::SeqTracker delivered_;
 
   // Instance bookkeeping: the round engine shared with the modular stack.

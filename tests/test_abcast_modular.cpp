@@ -260,9 +260,10 @@ TEST(ModularAbcastDeterminism, SameSeedSameRun) {
 }
 
 // Zero-copy value path: a non-coordinator decides on a view of the proposal
-// frame it received, and the coordinator sent one frame to every peer, so
-// the non-coordinators' decided values share one buffer.
-TEST(ModularZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
+// frame it received, the coordinator sent one frame to every peer, and the
+// coordinator keeps its proposal as a view of that frame, so every
+// process's decided value shares one buffer.
+TEST(ModularZeroCopy, AllProcessesShareOneDecidedBuffer) {
   core::SimGroup group(modular_config(3));
   group.start();
   feed(group, 1, 1, milliseconds(1), milliseconds(1), 1024);
@@ -273,7 +274,9 @@ TEST(ModularZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
   };
   ASSERT_NE(decided(1), nullptr);
   ASSERT_NE(decided(2), nullptr);
+  ASSERT_NE(decided(0), nullptr);
   EXPECT_TRUE(decided(1)->shares_buffer(*decided(2)));
+  EXPECT_TRUE(decided(0)->shares_buffer(*decided(1)));
   EXPECT_EQ(*decided(1), *decided(0));
 }
 

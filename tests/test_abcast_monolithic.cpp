@@ -129,9 +129,10 @@ TEST(MonolithicLowLoad, StandaloneDecisionWhenIdle) {
 }
 
 // Zero-copy value path: a non-coordinator decides on a view of the COMBINED
-// frame it received, and the coordinator sent one frame to every peer, so
-// the non-coordinators' decided values share one buffer.
-TEST(MonolithicZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
+// frame it received, the coordinator sent one frame to every peer, and the
+// coordinator keeps its proposal as a view of that frame, so every
+// process's decided value shares one buffer.
+TEST(MonolithicZeroCopy, AllProcessesShareOneDecidedBuffer) {
   core::SimGroup group(mono_config(3));
   group.start();
   feed(group, 1, 1, milliseconds(1), milliseconds(1), 1024);
@@ -142,7 +143,9 @@ TEST(MonolithicZeroCopy, NonCoordinatorsShareOneDecidedBuffer) {
   };
   ASSERT_NE(decided(1), nullptr);
   ASSERT_NE(decided(2), nullptr);
+  ASSERT_NE(decided(0), nullptr);
   EXPECT_TRUE(decided(1)->value.shares_buffer(decided(2)->value));
+  EXPECT_TRUE(decided(0)->value.shares_buffer(decided(1)->value));
   EXPECT_EQ(decided(1)->value, decided(0)->value);
 }
 

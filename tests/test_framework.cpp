@@ -116,6 +116,48 @@ TEST(Stack, SendToOthersSkipsSelf) {
   EXPECT_EQ(received[3], 1);
 }
 
+// Owned bytes are framed in place: the returned body view shares the
+// buffer each peer receives. A Payload the caller still holds is framed by
+// copy, and the caller's bytes and view stay as they were.
+TEST(Stack, OwnedBytesFramedInPlaceSharedPayloadCopied) {
+  Harness h(3);
+  std::vector<util::Payload> got;
+  for (util::ProcessId p = 1; p < 3; ++p) {
+    h.stacks[p]->bind_wire(kTestModule,
+                           [&got](util::ProcessId, util::Payload payload) {
+                             got.push_back(std::move(payload));
+                           });
+  }
+  util::Payload owned_sent;
+  const util::Payload held(util::Bytes{4, 5, 6});
+  util::Payload held_sent;
+  h.world->simulator().at(0, [&] {
+    owned_sent =
+        h.stacks[0]->send_wire_to_others(kTestModule, util::Bytes{1, 2, 3});
+    held_sent = h.stacks[0]->send_wire_to_others(kTestModule, held);
+  });
+  h.world->run();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(owned_sent, util::Payload(util::Bytes{1, 2, 3}));
+  EXPECT_EQ(held_sent, held);
+  EXPECT_FALSE(held_sent.shares_buffer(held));
+  EXPECT_EQ(held, util::Payload(util::Bytes{4, 5, 6}));
+  EXPECT_EQ(held.use_count(), 1);  // the stack kept no reference to it
+  int owned = 0;
+  for (const util::Payload& p : got) {
+    if (p == owned_sent) {
+      ++owned;
+      EXPECT_TRUE(p.shares_buffer(owned_sent));
+    } else {
+      EXPECT_EQ(p, held);
+      EXPECT_FALSE(p.shares_buffer(held));
+      EXPECT_TRUE(p.shares_buffer(held_sent));
+    }
+  }
+  EXPECT_EQ(owned, 2);
+  EXPECT_EQ(h.world->network().total().payload_bytes, 4u * 4u);
+}
+
 TEST(Stack, PerModuleWireCounters) {
   Harness h;
   h.stacks[1]->bind_wire(7, [](util::ProcessId, util::Payload) {});
