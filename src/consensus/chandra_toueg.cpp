@@ -22,9 +22,6 @@ constexpr std::uint8_t kSolicit = 7;
 constexpr std::uint8_t kDecisionTag = 10;
 constexpr std::uint8_t kDecisionFull = 11;
 
-// kProposal's fields before the value: kind, k, round, value length.
-constexpr std::size_t kProposalHeader = 1 + 8 + 4 + 4;
-
 }  // namespace
 
 void ChandraTouegConsensus::init(framework::Stack& stack) {
@@ -128,9 +125,7 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
   // keeping app_bytes inherits that for the proposal fan-out. Recovery-round
   // proposals arrive with no enclosing scope and stay at app_bytes 0.
   framework::TraceScope scope(*stack_, inst.k, framework::TraceScope::kKeepAppBytes);
-  // Room for the header, the value and the module-id byte the stack frames
-  // in place.
-  util::ByteWriter w(kProposalHeader + value.size() + 1);
+  util::ByteWriter w(value.size() + 32);  // spare room for the frame byte
   w.u8(kProposal);
   w.u64(inst.k);
   w.u32(round);
@@ -139,7 +134,7 @@ void ChandraTouegConsensus::do_propose(Instance& inst, std::uint32_t round,
       stack_->send_wire_to_others(framework::kModConsensus, w.take());
   // The proposal is a view of the frame sent, so the coordinator, its n−1
   // peers and the decided store share one buffer.
-  rounds_.propose(inst, round, sent.slice(kProposalHeader));
+  rounds_.propose(inst, round, sent.slice(sent.size() - value.size()));
 
   if (rounds_.quorum(inst, round)) broadcast_decision(inst, round);
 }

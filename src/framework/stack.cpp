@@ -69,18 +69,9 @@ void Stack::send_framed(util::ProcessId to, ModuleId module_id,
   rt_->send(to, framed);
 }
 
-util::Payload Stack::send_wire(util::ProcessId to, ModuleId module_id,
-                               const util::Payload& payload) {
-  const util::Payload framed = frame(module_id, payload);
-  send_framed(to, module_id, framed);
-  return framed.slice(1);
-}
-
-util::Payload Stack::send_wire(util::ProcessId to, ModuleId module_id,
-                               util::Bytes body) {
-  const util::Payload framed = frame(module_id, std::move(body));
-  send_framed(to, module_id, framed);
-  return framed.slice(1);
+void Stack::send_wire(util::ProcessId to, ModuleId module_id,
+                      util::Bytes body) {
+  send_framed(to, module_id, frame(module_id, std::move(body)));
 }
 
 const ModuleWireCounters& Stack::wire_counters(ModuleId module_id) const {

@@ -88,19 +88,16 @@ class Stack final : public runtime::Protocol {
   /// Raises a local event synchronously to all bound handlers.
   void raise(Event event);
 
-  /// Sends `payload` to process `to`, prefixed with the module-id header.
-  /// Both forms return the body view they sent. A `Payload` the caller
-  /// still shares is framed by copy. `util::Bytes` (moved from
-  /// `writer.take()`, or copied from a named buffer) are framed in place,
-  /// so the returned view shares the buffer `to` receives.
-  util::Payload send_wire(util::ProcessId to, ModuleId module_id,
-                          const util::Payload& payload);
-  util::Payload send_wire(util::ProcessId to, ModuleId module_id,
-                          util::Bytes body);
+  /// Sends `body` to process `to`, prefixed with the module-id header. The
+  /// bytes (moved from `writer.take()`, or copied from a named buffer) are
+  /// framed in place.
+  void send_wire(util::ProcessId to, ModuleId module_id, util::Bytes body);
 
   /// Sends the same payload to every other process in the group. The framed
-  /// message is built once and shared (ref-counted) across all n-1 sends;
-  /// framing and the returned view are as for send_wire().
+  /// message is built once and shared (ref-counted) across all n-1 sends.
+  /// Both forms return the body view they sent. Owned `util::Bytes` are
+  /// framed in place, so the view shares the buffer every peer receives; a
+  /// `Payload` the caller still shares is framed by copy.
   util::Payload send_wire_to_others(ModuleId module_id,
                                     const util::Payload& payload);
   util::Payload send_wire_to_others(ModuleId module_id, util::Bytes body);
