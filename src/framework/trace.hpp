@@ -4,8 +4,7 @@
 // crossing — local event dispatches, wire sends, wire deliveries — as a
 // structured record. Useful for debugging protocol runs ("why did instance
 // 17 stall?") and for the observability a composition framework owes its
-// users; the record stream is also what the framework-cost microbenches
-// reason about.
+// users.
 #pragma once
 
 #include <cstdint>

@@ -70,14 +70,9 @@ void ReliableBcast::deliver_and_maybe_relay(util::ProcessId origin,
   if (!delivered_.mark(origin, seq)) return;  // duplicate
 
   bool relayed = i_am_origin;  // the origin's initial send counts as a relay
-  if (!i_am_origin) {
-    const bool should_relay =
-        config_.variant == Variant::kClassic ||
-        is_designated_resender(origin, stack_->self());
-    if (should_relay) {
-      relay(encoded);
-      relayed = true;
-    }
+  if (!i_am_origin && is_designated_resender(origin, stack_->self())) {
+    relay(encoded);
+    relayed = true;
   }
   remember(origin, seq, payload, relayed);
 
@@ -103,7 +98,6 @@ void ReliableBcast::remember(util::ProcessId origin, std::uint64_t seq,
 }
 
 void ReliableBcast::on_suspect(util::ProcessId q) {
-  if (config_.variant == Variant::kClassic) return;  // everyone relays anyway
   // Fallback: if a process responsible for relaying (origin or designated
   // resender) is suspected, relay recent messages ourselves so the
   // all-or-none guarantee survives resender crashes.

@@ -3,16 +3,15 @@
 // Guarantees: a message rbcast by any process is rdelivered by all correct
 // processes or by none, even if the sender crashes mid-broadcast. No order.
 //
-// Two variants:
-//  * Classic — on first receipt, every process re-sends to everyone:
-//    ~n² messages per broadcast.
-//  * Majority (the paper's optimization) — only a designated set of
-//    ⌊(n−1)/2⌋ processes re-sends, giving (n−1)·(⌊(n−1)/2⌋+1) messages.
-//    Correct under the majority-correct assumption (which consensus needs
-//    anyway): sender + resenders form a majority, so at least one correct
-//    process relays. As a belt-and-braces fallback for the case where the
-//    crashed process *was* a designated resender, any process that suspects
-//    the sender or a resender re-relays recent messages itself.
+// The paper's majority optimization of the classic algorithm (where every
+// process re-sends on first receipt, ~n² messages per broadcast): only a
+// designated set of ⌊(n−1)/2⌋ processes re-sends, giving
+// (n−1)·(⌊(n−1)/2⌋+1) messages. Correct under the majority-correct
+// assumption (which consensus needs anyway): sender + resenders form a
+// majority, so at least one correct process relays. As a belt-and-braces
+// fallback for the case where the crashed process *was* a designated
+// resender, any process that suspects the sender or a resender re-relays
+// recent messages itself.
 //
 // Input:  framework event kEvRbcast (RbcastBody{payload}), or rbcast().
 // Output: framework event kEvRdeliver (RdeliverBody{origin, payload}).
@@ -28,13 +27,7 @@
 
 namespace modcast::rbcast {
 
-enum class Variant {
-  kClassic,   ///< everyone re-sends: ~n² messages
-  kMajority,  ///< designated majority re-sends: (n−1)(⌊(n−1)/2⌋+1) messages
-};
-
 struct RbcastConfig {
-  Variant variant = Variant::kMajority;
   /// How many recent messages are retained for suspicion-triggered re-relay.
   std::size_t relay_buffer = 256;
 };
@@ -53,7 +46,7 @@ class ReliableBcast final : public framework::Module {
   void rbcast(util::Payload payload);
 
   /// True if `relay` is one of the designated resenders for messages
-  /// originated by `origin` (majority variant).
+  /// originated by `origin`.
   bool is_designated_resender(util::ProcessId origin,
                               util::ProcessId relay) const;
 

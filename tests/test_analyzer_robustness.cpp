@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "channels.hpp"
 #include "costcheck.hpp"
 #include "lifecheck.hpp"
 #include "modcheck.hpp"
@@ -46,9 +47,13 @@ TEST(AnalyzerRobustness, ModcheckAndWirecheckSurvive) {
     EXPECT_EQ(d.rule, "layer.unmapped");
     EXPECT_EQ(d.line, 1);
   }
-  // The fixture sends tags nothing decodes; wirecheck must anchor those
-  // findings on the exact CRLF lines (u8 writes on 14/20, send on 15).
-  wirecheck::Report wr = wirecheck::analyze(kRoot, wirecheck::Manifest{});
+  // The fixture sends tags nothing decodes and a module id nothing binds;
+  // wirecheck must anchor those findings on the exact CRLF lines (u8
+  // writes on 14/20, first send on 15) and read the BOM registry.
+  const analyzer::SourceTree tree = analyzer::load_tree(kRoot);
+  wirecheck::Report wr = wirecheck::analyze(
+      kRoot, wirecheck::Manifest{},
+      analyzer::extract_channels(tree, "events.hpp", {}), &tree);
   EXPECT_EQ(wr.files_scanned, 3u);
   EXPECT_EQ(wr.violations(), 3u);
   for (const auto& d : wr.diagnostics) {
@@ -61,7 +66,7 @@ TEST(AnalyzerRobustness, ModcheckAndWirecheckSurvive) {
 TEST(AnalyzerRobustness, LifecheckReadsBomRegistry) {
   lifecheck::Manifest life;
   life.events_registry = "events.hpp";
-  lifecheck::FlowGraph flow;
+  analyzer::ChannelGraph flow;
   lifecheck::analyze(kRoot, life, &flow);
   // The BOM did not glue onto the registry's first tokens: the module
   // declaration and the CRLF producer both made it into the flow graph.
@@ -74,10 +79,8 @@ TEST(AnalyzerRobustness, CostcheckLinesAreExactUnderCrlfAndBom) {
   const fs::path fixdir = fs::path(ANALYZER_ROBUSTNESS_FIXTURES);
   costcheck::Manifest manifest =
       costcheck::load_manifest(fixdir / "cost.toml");
-  lifecheck::Manifest life;
-  life.events_registry = "events.hpp";
-  lifecheck::FlowGraph flow;
-  lifecheck::analyze(kRoot, life, &flow);
+  const analyzer::ChannelGraph flow = analyzer::extract_channels(
+      analyzer::load_tree(kRoot), "events.hpp", {});
   costcheck::CostReport cost;
   costcheck::Report r = costcheck::analyze(kRoot, manifest, flow, &cost);
 

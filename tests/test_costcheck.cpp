@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "channels.hpp"
 #include "costcheck.hpp"
 #include "lifecheck.hpp"
 #include "modcheck.hpp"
@@ -21,17 +22,14 @@ fs::path fixture(const std::string& name) {
   return fs::path(COSTCHECK_FIXTURES) / name;
 }
 
-/// Extracts a fixture's flow graph with lifecheck, as abcheck does for the
-/// real tree. Every fixture declares its registry in events.hpp.
-lifecheck::FlowGraph fixture_flow(const fs::path& dir) {
-  lifecheck::Manifest life;
-  life.events_registry = "events.hpp";
-  lifecheck::FlowGraph flow;
-  lifecheck::analyze(dir / "src", life, &flow);
-  return flow;
+/// Extracts a fixture's channel graph. Every fixture declares its registry
+/// in events.hpp.
+analyzer::ChannelGraph fixture_flow(const fs::path& dir) {
+  return analyzer::extract_channels(analyzer::load_tree(dir / "src"),
+                                    "events.hpp", {});
 }
 
-/// Runs the full pipeline on a fixture: lifecheck extracts the flow graph,
+/// Runs the full pipeline on a fixture: the channel graph is extracted,
 /// costcheck consumes it.
 costcheck::Report run_fixture(const std::string& name,
                               costcheck::CostReport* cost = nullptr) {
@@ -222,7 +220,7 @@ TEST(Costcheck, ManifestRejectsMalformedInput) {
 TEST(Costcheck, StaleManifestIsHardError) {
   const fs::path dir = fixture("clean");
   costcheck::Manifest manifest = costcheck::load_manifest(dir / "cost.toml");
-  const lifecheck::FlowGraph flow = fixture_flow(dir);
+  const analyzer::ChannelGraph flow = fixture_flow(dir);
   {
     costcheck::Manifest bad = manifest;
     bad.stacks[0].modules.push_back("kModGhost");
@@ -277,10 +275,11 @@ TEST(Costcheck, RealTreeMatchesAnalyticalModel) {
   const fs::path repo = fs::path(COSTCHECK_REPO_ROOT);
   costcheck::Manifest manifest =
       costcheck::load_manifest(repo / "tools" / "costcheck" / "cost.toml");
-  lifecheck::Manifest life =
+  const lifecheck::Manifest life =
       lifecheck::load_manifest(repo / "tools" / "lifecheck" / "life.toml");
-  lifecheck::FlowGraph flow;
-  lifecheck::analyze(repo / "src", life, &flow);
+  const analyzer::ChannelGraph flow = analyzer::extract_channels(
+      analyzer::load_tree(repo / "src"), life.events_registry,
+      life.app_events);
   costcheck::CostReport cost;
   costcheck::Report r =
       costcheck::analyze(repo / "src", manifest, flow, &cost);
@@ -313,8 +312,9 @@ TEST(Costcheck, RealTreeMatchesAnalyticalModel) {
 
 TEST(Costcheck, SharedTreeMatchesIndependentRuns) {
   // The abcheck driver parses the tree once and hands it to all four
-  // analyzers; that cached path must produce byte-identical reports to
-  // each analyzer reading the tree on its own.
+  // analyzers, with the channel graph lifecheck extracts from it; that
+  // cached path must produce byte-identical reports to each analyzer
+  // reading the tree (and lifecheck extracting the graph) on its own.
   const fs::path repo = fs::path(COSTCHECK_REPO_ROOT);
   const fs::path root = repo / "src";
   const std::string rs = root.string();
@@ -325,20 +325,22 @@ TEST(Costcheck, SharedTreeMatchesIndependentRuns) {
   EXPECT_EQ(modcheck::to_json(modcheck::analyze(root, mod, &tree), rs),
             modcheck::to_json(modcheck::analyze(root, mod), rs));
 
-  wirecheck::Manifest wire =
-      wirecheck::load_manifest(repo / "tools" / "wirecheck" / "wire.toml");
-  EXPECT_EQ(wirecheck::to_json(wirecheck::analyze(root, wire, &tree), rs),
-            wirecheck::to_json(wirecheck::analyze(root, wire), rs));
-
   lifecheck::Manifest life =
       lifecheck::load_manifest(repo / "tools" / "lifecheck" / "life.toml");
-  lifecheck::FlowGraph flow_cached, flow_fresh;
+  analyzer::ChannelGraph flow_cached, flow_fresh;
   EXPECT_EQ(
       lifecheck::to_json(lifecheck::analyze(root, life, &flow_cached, &tree),
                          rs),
       lifecheck::to_json(lifecheck::analyze(root, life, &flow_fresh), rs));
-  EXPECT_EQ(lifecheck::flow_to_json(flow_cached),
-            lifecheck::flow_to_json(flow_fresh));
+  EXPECT_EQ(analyzer::flow_to_json(flow_cached),
+            analyzer::flow_to_json(flow_fresh));
+
+  wirecheck::Manifest wire =
+      wirecheck::load_manifest(repo / "tools" / "wirecheck" / "wire.toml");
+  EXPECT_EQ(
+      wirecheck::to_json(wirecheck::analyze(root, wire, flow_cached, &tree),
+                         rs),
+      wirecheck::to_json(wirecheck::analyze(root, wire, flow_fresh), rs));
 
   costcheck::Manifest cost =
       costcheck::load_manifest(repo / "tools" / "costcheck" / "cost.toml");

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "lifecheck.hpp"
 #include "sarif.hpp"
@@ -18,7 +20,7 @@ fs::path fixture(const std::string& name) {
 }
 
 lifecheck::Report run_fixture(const std::string& name,
-                              lifecheck::FlowGraph* flow = nullptr) {
+                              analyzer::ChannelGraph* flow = nullptr) {
   const fs::path dir = fixture(name);
   lifecheck::Manifest manifest =
       lifecheck::load_manifest(dir / "life.toml");
@@ -118,13 +120,13 @@ TEST(Lifecheck, SuppressionLifecycleEnforced) {
 }
 
 TEST(Lifecheck, DeadFlowDetectedAndGraphExtracted) {
-  lifecheck::FlowGraph flow;
+  analyzer::ChannelGraph flow;
   lifecheck::Report r = run_fixture("dead_flow", &flow);
   EXPECT_EQ(count_rule(r, "flow.unreachable"), 1);
   EXPECT_TRUE(has_diag_in(r, "proto.cpp", "flow.unreachable"));
 
-  ASSERT_EQ(flow.unreachable.size(), 1u);
-  EXPECT_EQ(flow.unreachable[0], "kEvOrphan");
+  EXPECT_EQ(analyzer::unreachable_channels(flow),
+            std::set<std::string>{"kEvOrphan"});
   // Every registry channel appears, reachable or not.
   ASSERT_TRUE(flow.events.count("kEvPing"));
   ASSERT_TRUE(flow.events.count("kEvOrphan"));
@@ -137,20 +139,31 @@ TEST(Lifecheck, DeadFlowDetectedAndGraphExtracted) {
 }
 
 TEST(Lifecheck, FlowSerializationsAreStable) {
-  lifecheck::FlowGraph flow;
+  analyzer::ChannelGraph flow;
   run_fixture("dead_flow", &flow);
-  const std::string json = lifecheck::flow_to_json(flow);
+  const std::string json = analyzer::flow_to_json(flow);
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"kModProto\""), std::string::npos);
   EXPECT_NE(json.find("\"unreachable\": [\"kEvOrphan\"]"),
             std::string::npos);
   // Serialization is deterministic: same graph, same bytes.
-  EXPECT_EQ(json, lifecheck::flow_to_json(flow));
+  EXPECT_EQ(json, analyzer::flow_to_json(flow));
 
-  const std::string dot = lifecheck::flow_to_dot(flow);
+  const std::string dot = analyzer::flow_to_dot(flow);
   EXPECT_NE(dot.find("digraph abcast_flow"), std::string::npos);
   EXPECT_NE(dot.find("\"proto.cpp\" -> \"kModProto\""), std::string::npos);
   EXPECT_NE(dot.find("\"kEvOrphan\" [color=red"), std::string::npos);
+}
+
+TEST(Lifecheck, RegistryOutsideTheTreeIsAnError) {
+  // A misspelled registry would otherwise leave the channel graph empty and
+  // silently switch off flow.unreachable, wire.unhandled and costcheck's
+  // module checks.
+  lifecheck::Manifest manifest =
+      lifecheck::load_manifest(fixture("dead_flow") / "life.toml");
+  manifest.events_registry = "framework/events.hpp";
+  EXPECT_THROW(lifecheck::analyze(fixture("dead_flow") / "src", manifest),
+               std::runtime_error);
 }
 
 TEST(Lifecheck, ManifestParses) {
@@ -166,7 +179,7 @@ TEST(Lifecheck, ManifestParses) {
   EXPECT_TRUE(m.is_instance_file("a.hpp"));
   EXPECT_FALSE(m.is_instance_file("b.hpp"));
   EXPECT_EQ(m.events_registry, "ev.hpp");
-  EXPECT_TRUE(m.is_app_event("kEvExtern"));
+  EXPECT_EQ(m.app_events, std::vector<std::string>{"kEvExtern"});
 }
 
 TEST(Lifecheck, ManifestRejectsMalformedInput) {
@@ -225,7 +238,7 @@ TEST(Lifecheck, SarifCarriesResultsAndSuppressions) {
 TEST(Lifecheck, RealTreeHasNoUnsuppressedViolations) {
   lifecheck::Manifest manifest = lifecheck::load_manifest(
       fs::path(LIFECHECK_REPO_ROOT) / "tools" / "lifecheck" / "life.toml");
-  lifecheck::FlowGraph flow;
+  analyzer::ChannelGraph flow;
   lifecheck::Report r = lifecheck::analyze(
       fs::path(LIFECHECK_REPO_ROOT) / "src", manifest, &flow);
   EXPECT_EQ(r.violations(), 0u)
@@ -235,7 +248,7 @@ TEST(Lifecheck, RealTreeHasNoUnsuppressedViolations) {
   for (const auto& d : r.diagnostics)
     if (d.suppressed) EXPECT_FALSE(d.justification.empty());
   // The real protocol graph is fully reachable and non-trivial.
-  EXPECT_TRUE(flow.unreachable.empty());
+  EXPECT_TRUE(analyzer::unreachable_channels(flow).empty());
   EXPECT_GE(flow.modules.size(), 4u);
   EXPECT_GE(flow.events.size(), 6u);
 }

@@ -22,12 +22,6 @@ fd::FdConfig fast_fd() {
   return c;
 }
 
-RbcastConfig variant(Variant v) {
-  RbcastConfig c;
-  c.variant = v;
-  return c;
-}
-
 std::uint64_t rbcast_messages(NodeHarness& h) {
   std::uint64_t total = 0;
   for (util::ProcessId p = 0; p < h.size(); ++p) {
@@ -37,10 +31,8 @@ std::uint64_t rbcast_messages(NodeHarness& h) {
   return total;
 }
 
-class RbcastDelivery : public ::testing::TestWithParam<Variant> {};
-
-TEST_P(RbcastDelivery, EveryProcessDeliversOnce) {
-  NodeHarness h(5, 1, fast_fd(), variant(GetParam()));
+TEST(RbcastDelivery, EveryProcessDeliversOnce) {
+  NodeHarness h(5, 1, fast_fd());
   h.start();
   h.rbcast_at(milliseconds(10), 2, "hello");
   h.run_until(seconds(1));
@@ -51,8 +43,8 @@ TEST_P(RbcastDelivery, EveryProcessDeliversOnce) {
   }
 }
 
-TEST_P(RbcastDelivery, ManyConcurrentBroadcastsAllDeliveredOnce) {
-  NodeHarness h(4, 1, fast_fd(), variant(GetParam()));
+TEST(RbcastDelivery, ManyConcurrentBroadcastsAllDeliveredOnce) {
+  NodeHarness h(4, 1, fast_fd());
   h.start();
   constexpr int kPerProcess = 10;
   for (util::ProcessId p = 0; p < 4; ++p) {
@@ -73,40 +65,22 @@ TEST_P(RbcastDelivery, ManyConcurrentBroadcastsAllDeliveredOnce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Variants, RbcastDelivery,
-                         ::testing::Values(Variant::kClassic,
-                                           Variant::kMajority),
-                         [](const auto& info) {
-                           return info.param == Variant::kClassic
-                                      ? "Classic"
-                                      : "Majority";
-                         });
-
 class RbcastCount : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RbcastCount, MajorityVariantMatchesFormula) {
   const std::size_t n = GetParam();
-  NodeHarness h(n, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(n, 1, fast_fd());
   h.start();
   h.rbcast_at(milliseconds(10), 0, "x");
   h.run_until(milliseconds(90));  // before FD heartbeat noise matters
   EXPECT_EQ(rbcast_messages(h), analysis::rbcast_messages_majority(n));
 }
 
-TEST_P(RbcastCount, ClassicVariantMatchesFormula) {
-  const std::size_t n = GetParam();
-  NodeHarness h(n, 1, fast_fd(), variant(Variant::kClassic));
-  h.start();
-  h.rbcast_at(milliseconds(10), 0, "x");
-  h.run_until(milliseconds(90));
-  EXPECT_EQ(rbcast_messages(h), analysis::rbcast_messages_classic(n));
-}
-
 INSTANTIATE_TEST_SUITE_P(GroupSizes, RbcastCount,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 11, 15));
 
 TEST(RbcastResenders, RingAfterOrigin) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(5, 1, fast_fd());
   auto& rb = h.node(0).rb;
   // n=5: ⌊(n−1)/2⌋ = 2 resenders following the origin in ring order.
   EXPECT_TRUE(rb.is_designated_resender(0, 1));
@@ -124,7 +98,7 @@ TEST(RbcastResenders, RingAfterOrigin) {
 // Sender crashes mid-broadcast and the copy reaches only designated
 // resenders: they relay immediately, no failure detection needed.
 TEST(RbcastCrash, ResendersCoverPartialBroadcast) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(5, 1, fast_fd());
   // Copies reach only p1 and p2 (the designated resenders for origin 0).
   h.world().network().set_link_blocked(0, 3, true);
   h.world().network().set_link_blocked(0, 4, true);
@@ -141,7 +115,7 @@ TEST(RbcastCrash, ResendersCoverPartialBroadcast) {
 // Sender crashes mid-broadcast and the copy reaches only a NON-resender:
 // all-or-none then relies on the suspicion fallback.
 TEST(RbcastCrash, SuspicionFallbackCoversNonResenderHolder) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(5, 1, fast_fd());
   // Only p3 (not a designated resender for origin 0) receives the copy.
   h.world().network().set_link_blocked(0, 1, true);
   h.world().network().set_link_blocked(0, 2, true);
@@ -159,7 +133,7 @@ TEST(RbcastCrash, SuspicionFallbackCoversNonResenderHolder) {
 // Sender crashes before any copy leaves: nobody delivers (the "none" side
 // of all-or-none).
 TEST(RbcastCrash, NoCopyMeansNoDelivery) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(5, 1, fast_fd());
   for (util::ProcessId p = 1; p < 5; ++p) {
     h.world().network().set_link_blocked(0, p, true);
   }
@@ -174,7 +148,7 @@ TEST(RbcastCrash, NoCopyMeansNoDelivery) {
 
 // A wrong suspicion only causes extra relays, never duplicates or loss.
 TEST(RbcastFaults, FalseSuspicionIsHarmless) {
-  NodeHarness h(5, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(5, 1, fast_fd());
   h.start();
   h.rbcast_at(milliseconds(10), 0, "steady");
   h.world().simulator().at(milliseconds(30), [&] {
@@ -190,7 +164,7 @@ TEST(RbcastFaults, FalseSuspicionIsHarmless) {
 TEST(RbcastFaults, DroppedRelayRecoveredByOtherResender) {
   // n=7 has 3 designated resenders; losing one relay entirely still leaves
   // two full relays, so everyone delivers.
-  NodeHarness h(7, 1, fast_fd(), variant(Variant::kMajority));
+  NodeHarness h(7, 1, fast_fd());
   for (util::ProcessId p = 0; p < 7; ++p) {
     if (p != 1) h.world().network().set_link_blocked(1, p, true);
   }

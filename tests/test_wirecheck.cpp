@@ -1,16 +1,18 @@
 // Unit tests: the wirecheck static analyzer (tools/wirecheck) against the
 // fixture mini-trees under tests/wirecheck_fixtures/. Every contract family
 // is exercised: encode/decode asymmetry detected (tagged and [format]
-// pairs), clean tree passes, dead/unhandled tags and events flagged,
-// hot-path hygiene rules fire only in manifest-hot files, and the shared
-// suppression lifecycle (justified allows honored; empty justification,
-// unknown rule and stale allows all fail).
+// pairs), clean tree passes, dead/unhandled tags and unhandled channels
+// flagged, hot-path hygiene rules fire only in manifest-hot files, and the
+// shared suppression lifecycle (justified allows honored; empty
+// justification, unknown rule and stale allows all fail).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
 #include <string>
 
+#include "channels.hpp"
+#include "lifecheck.hpp"
 #include "wirecheck.hpp"
 
 namespace {
@@ -23,9 +25,17 @@ fs::path fixture(const std::string& name) {
   return fs::path(WIRECHECK_FIXTURES) / name;
 }
 
+/// Fixtures that use registry channels declare them in events.hpp, and
+/// kEvApp stands for a channel the harness handles (the real tree declares
+/// both in tools/lifecheck/life.toml).
 Report run_fixture(const std::string& name) {
-  auto m = wirecheck::load_manifest(fixture(name) / "wire.toml");
-  return wirecheck::analyze(fixture(name) / "src", m);
+  const fs::path src = fixture(name) / "src";
+  const auto m = wirecheck::load_manifest(fixture(name) / "wire.toml");
+  const analyzer::SourceTree tree = analyzer::load_tree(src);
+  const std::string registry =
+      fs::exists(src / "events.hpp") ? "events.hpp" : "";
+  return wirecheck::analyze(
+      src, m, analyzer::extract_channels(tree, registry, {"kEvApp"}), &tree);
 }
 
 std::size_t count_rule(const Report& r, const std::string& rule,
@@ -75,13 +85,15 @@ TEST(WirecheckFixtures, AsymMessagesNameBothSequences) {
 
 TEST(WirecheckFixtures, DeadAndUnhandledDetected) {
   Report r = run_fixture("deadtags");
-  // kSentOnly (tag), kEvOrphan (event), kModGhost (module id).
+  // kSentOnly (tag), kEvOrphan (event), kModGhost (module id). kEvApp is
+  // application-facing.
   EXPECT_EQ(count_rule(r, "wire.unhandled"), 3u)
       << wirecheck::to_json(r, "deadtags");
-  // kHandledOnly (tag), kEvGhost (event). kEvApp is manifest-exempt.
-  EXPECT_EQ(count_rule(r, "wire.dead"), 2u)
+  // kHandledOnly (tag). A bound event nothing raises is lifecheck's
+  // flow.unreachable.
+  EXPECT_EQ(count_rule(r, "wire.dead"), 1u)
       << wirecheck::to_json(r, "deadtags");
-  EXPECT_EQ(r.violations(), 5u);
+  EXPECT_EQ(r.violations(), 4u);
 }
 
 TEST(WirecheckFixtures, HotRulesFireOnlyInHotFiles) {
@@ -118,19 +130,15 @@ TEST(WirecheckFixtures, SuppressionLifecycleEnforced) {
   EXPECT_EQ(r.violations(), 5u) << wirecheck::to_json(r, "bad_suppression");
 }
 
-TEST(WirecheckManifest, ParsesHotEventsAndFormats) {
+TEST(WirecheckManifest, ParsesHotAndFormats) {
   std::istringstream in(
       "# comment\n"
       "[hot]\nfiles = a.hpp b.cpp\n"
-      "[events]\nregistry = ev.hpp\napp = kEvX kEvY\n"
       "[format f.one]\nfile = c.cpp\nencoder = enc\ndecoder = dec\n");
   wirecheck::Manifest m = wirecheck::parse_manifest(in);
   ASSERT_EQ(m.hot_files.size(), 2u);
   EXPECT_TRUE(m.is_hot("a.hpp"));
   EXPECT_FALSE(m.is_hot("c.cpp"));
-  EXPECT_EQ(m.events_registry, "ev.hpp");
-  EXPECT_TRUE(m.is_app_event("kEvY"));
-  EXPECT_FALSE(m.is_app_event("kEvZ"));
   ASSERT_EQ(m.formats.size(), 1u);
   EXPECT_EQ(m.formats[0].name, "f.one");
   EXPECT_EQ(m.formats[0].encoder, "enc");
@@ -153,6 +161,9 @@ TEST(WirecheckManifest, RejectsUnknownSectionAndKey) {
   EXPECT_THROW(wirecheck::parse_manifest(bad_section), std::runtime_error);
   std::istringstream bad_key("[hot]\npaths = a\n");
   EXPECT_THROW(wirecheck::parse_manifest(bad_key), std::runtime_error);
+  // The registry is declared once, in life.toml.
+  std::istringstream events("[events]\nregistry = ev.hpp\n");
+  EXPECT_THROW(wirecheck::parse_manifest(events), std::runtime_error);
 }
 
 TEST(WirecheckReport, JsonNamesToolAndRules) {
@@ -168,11 +179,17 @@ TEST(WirecheckReport, JsonNamesToolAndRules) {
 // this duplicates the abcheck_src CTest entry's wirecheck run at the library
 // level so a broken manifest fails unit tests too, with a readable report.
 TEST(WirecheckRepo, RealTreeHasNoUnsuppressedViolations) {
-  fs::path repo_src = fs::path(WIRECHECK_REPO_ROOT) / "src";
-  fs::path manifest =
-      fs::path(WIRECHECK_REPO_ROOT) / "tools" / "wirecheck" / "wire.toml";
-  auto m = wirecheck::load_manifest(manifest);
-  Report r = wirecheck::analyze(repo_src, m);
+  const fs::path repo = fs::path(WIRECHECK_REPO_ROOT);
+  const fs::path repo_src = repo / "src";
+  const auto m =
+      wirecheck::load_manifest(repo / "tools" / "wirecheck" / "wire.toml");
+  const auto life =
+      lifecheck::load_manifest(repo / "tools" / "lifecheck" / "life.toml");
+  const analyzer::SourceTree tree = analyzer::load_tree(repo_src);
+  Report r = wirecheck::analyze(
+      repo_src, m,
+      analyzer::extract_channels(tree, life.events_registry, life.app_events),
+      &tree);
   EXPECT_EQ(r.violations(), 0u) << wirecheck::to_json(r, "src");
   EXPECT_GT(r.files_scanned, 50u);
   // The intentional hot-path exceptions stay visible as suppressions.

@@ -1,5 +1,5 @@
 // Composition: every raised event and sent module id has a handler; kEvApp
-// is raised for harness code outside the tree (manifest app exemption).
+// is raised for harness code outside the tree (application-facing).
 #include "events.hpp"
 
 namespace fix {

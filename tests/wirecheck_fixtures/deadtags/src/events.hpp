@@ -8,8 +8,7 @@ using ModuleId = std::uint8_t;
 
 inline constexpr EventType kEvTick = 1;
 inline constexpr EventType kEvOrphan = 2;   // raised, never bound
-inline constexpr EventType kEvGhost = 3;    // bound, never raised
-inline constexpr EventType kEvApp = 4;      // raised, exempt via manifest
+inline constexpr EventType kEvApp = 4;      // raised, application-facing
 inline constexpr ModuleId kModCodec = 7;
 inline constexpr ModuleId kModGhost = 8;    // sent, never bound
 

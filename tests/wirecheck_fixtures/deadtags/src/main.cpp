@@ -4,7 +4,6 @@ namespace fix {
 
 void compose(Stack& stack, Codec& codec) {
   stack.bind(kEvTick, [&codec](const Event& ev) { codec.tick(ev); });
-  stack.bind(kEvGhost, [&codec](const Event& ev) { codec.ghost(ev); });
   stack.bind_wire(kModCodec,
                   [&codec](ProcessId from, Payload msg) { codec.on_wire(msg); });
 }

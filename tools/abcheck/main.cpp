@@ -12,9 +12,11 @@
 // "abcheck", root, summary, timings_ms, runs}) and/or one SARIF 2.1.0 log
 // with one run per analyzer. The tree is read and lexed exactly once and
 // shared by every analyzer; `timings_ms` records each analyzer's wall time
-// over that shared tree. The lifecheck flow graph (--flow-json/--flow-dot)
-// and the costcheck derived-polynomial report (--cost-json) are exposed so
-// CI can diff the protocol topology and the cost model. Exits 0 when every
+// over that shared tree. lifecheck runs first and extracts the module×event
+// channel graph from the registry its manifest declares; wirecheck and
+// costcheck read that same graph. The graph (--flow-json/--flow-dot) and
+// the costcheck derived-polynomial report (--cost-json) are exposed so CI
+// can diff the protocol topology and the cost model. Exits 0 when every
 // analyzer is clean, 1 on any unsuppressed violation, 2 on usage/manifest
 // errors.
 #include <chrono>
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
 
   analyzer::Report mod_report, wire_report, life_report, cost_report;
   analyzer::SourceTree tree;
-  lifecheck::FlowGraph flow;
+  analyzer::ChannelGraph flow;
   costcheck::CostReport cost_model;
   using clock = std::chrono::steady_clock;
   clock::duration t_load{}, t_mod{}, t_wire{}, t_life{}, t_cost{};
@@ -205,17 +207,17 @@ int main(int argc, char** argv) {
     const clock::time_point t1 = clock::now();
     mod_report = modcheck::analyze(root, mod_manifest, &tree);
     const clock::time_point t2 = clock::now();
-    wire_report = wirecheck::analyze(root, wire_manifest, &tree);
-    const clock::time_point t3 = clock::now();
     life_report = lifecheck::analyze(root, life_manifest, &flow, &tree);
+    const clock::time_point t3 = clock::now();
+    wire_report = wirecheck::analyze(root, wire_manifest, flow, &tree);
     const clock::time_point t4 = clock::now();
     cost_report =
         costcheck::analyze(root, cost_manifest, flow, &cost_model, &tree);
     const clock::time_point t5 = clock::now();
     t_load = t1 - t0;
     t_mod = t2 - t1;
-    t_wire = t3 - t2;
-    t_life = t4 - t3;
+    t_life = t3 - t2;
+    t_wire = t4 - t3;
     t_cost = t5 - t4;
   } catch (const std::exception& e) {
     std::cerr << "abcheck: " << e.what() << "\n";
@@ -276,10 +278,10 @@ int main(int argc, char** argv) {
     if (!write_file(sarif_path, sarif)) return 2;
   }
   if (!flow_json_path.empty() &&
-      !write_file(flow_json_path, lifecheck::flow_to_json(flow)))
+      !write_file(flow_json_path, analyzer::flow_to_json(flow)))
     return 2;
   if (!flow_dot_path.empty() &&
-      !write_file(flow_dot_path, lifecheck::flow_to_dot(flow)))
+      !write_file(flow_dot_path, analyzer::flow_to_dot(flow)))
     return 2;
   if (!cost_json_path.empty() &&
       !write_file(cost_json_path, costcheck::cost_to_json(cost_model)))

@@ -143,4 +143,100 @@ std::size_t skip_template_args(const std::vector<Token>& t, std::size_t i) {
   return i;
 }
 
+std::vector<int> brace_depth(const std::vector<Token>& t) {
+  std::vector<int> depth(t.size(), 0);
+  int d = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].text == "{") {
+      depth[i] = d;
+      ++d;
+    } else if (t[i].text == "}") {
+      if (d > 0) --d;
+      depth[i] = d;
+    } else {
+      depth[i] = d;
+    }
+  }
+  return depth;
+}
+
+std::size_t match_paren(const std::vector<Token>& t, std::size_t open) {
+  int pd = 0;
+  for (std::size_t i = open; i < t.size(); ++i) {
+    if (t[i].text == "(") ++pd;
+    else if (t[i].text == ")" && --pd == 0) return i;
+  }
+  return t.size();
+}
+
+bool call_arg_range(const std::vector<Token>& t, std::size_t open, int argno,
+                    std::size_t& abegin, std::size_t& aend) {
+  int pd = 0, bd = 0, sd = 0, arg = 1;
+  std::size_t begin = open + 1;
+  for (std::size_t j = open; j < t.size(); ++j) {
+    const std::string& s = t[j].text;
+    if (s == "(") {
+      if (++pd == 1) begin = j + 1;
+      continue;
+    }
+    if (s == ")") {
+      if (--pd == 0) {
+        if (arg == argno) {
+          abegin = begin;
+          aend = j;
+          return true;
+        }
+        return false;
+      }
+      continue;
+    }
+    if (pd == 1) {
+      if (s == "{") ++bd;
+      else if (s == "}") --bd;
+      else if (s == "[") ++sd;
+      else if (s == "]") --sd;
+      else if (s == "," && bd == 0 && sd == 0) {
+        if (arg == argno) {
+          abegin = begin;
+          aend = j;
+          return true;
+        }
+        ++arg;
+        begin = j + 1;
+      }
+    }
+  }
+  return false;
+}
+
+bool range_mentions(const std::vector<Token>& t, std::size_t a, std::size_t b,
+                    const std::string& name) {
+  for (std::size_t j = a; j < b && j < t.size(); ++j)
+    if (t[j].ident && t[j].text == name) return true;
+  return false;
+}
+
+std::set<std::string> tag_constants(const std::vector<Token>& t) {
+  std::set<std::string> tags;
+  for (std::size_t i = 4; i + 3 < t.size(); ++i) {
+    if (!t[i].ident || t[i].text != "uint8_t") continue;
+    if (!(t[i - 1].text == ":" && t[i - 2].text == ":" &&
+          t[i - 3].text == "std" &&
+          (t[i - 4].text == "constexpr" || t[i - 4].text == "const")))
+      continue;
+    if (t[i + 1].ident && tok_is(t, i + 2, "=") && !t[i + 3].ident)
+      tags.insert(t[i + 1].text);
+  }
+  return tags;
+}
+
+std::string path_stem(const std::string& rel) {
+  const std::size_t dot = rel.rfind('.');
+  const std::size_t slash = rel.rfind('/');
+  if (dot == std::string::npos ||
+      (slash != std::string::npos && dot < slash))
+    return rel;
+  return rel.substr(0, dot);
+}
+
 }  // namespace analyzer

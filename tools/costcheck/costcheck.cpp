@@ -14,7 +14,9 @@ namespace costcheck {
 
 using analyzer::Suppression;
 using analyzer::Token;
+using analyzer::match_paren;
 using analyzer::member_access;
+using analyzer::range_mentions;
 using analyzer::tok_is;
 
 namespace {
@@ -359,16 +361,6 @@ bool is_keyword(const std::string& s) {
          s == "catch" || s == "return" || s == "sizeof";
 }
 
-/// Index of the ')' matching the '(' at `open`, or t.size().
-std::size_t match_paren(const std::vector<Token>& t, std::size_t open) {
-  int pd = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == "(") ++pd;
-    else if (t[i].text == ")" && --pd == 0) return i;
-  }
-  return t.size();
-}
-
 bool is_int_literal(const Token& tok) {
   if (tok.ident || tok.text.empty()) return false;
   for (char c : tok.text)
@@ -698,13 +690,6 @@ std::vector<LoopExtent> collect_for_loops(const std::vector<Token>& t) {
   return loops;
 }
 
-bool range_mentions(const std::vector<Token>& t, std::size_t a, std::size_t b,
-                    const std::string& name) {
-  for (std::size_t j = a; j < b && j < t.size(); ++j)
-    if (t[j].ident && t[j].text == name) return true;
-  return false;
-}
-
 struct SendSite {
   std::size_t file_idx = 0;
   int line = 0;
@@ -782,16 +767,6 @@ void collect_send_sites(const std::vector<Token>& t, std::size_t file_idx,
     }
     out.push_back(std::move(site));
   }
-}
-
-/// Path minus extension: the header/source pair of one translation unit.
-std::string path_stem(const std::string& rel) {
-  const std::size_t dot = rel.rfind('.');
-  const std::size_t slash = rel.rfind('/');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash))
-    return rel;
-  return rel.substr(0, dot);
 }
 
 struct FileWork {
@@ -878,7 +853,7 @@ std::string mirror_op(const std::string& op) {
 // ---------------------------------------------------------------------------
 
 Report analyze(const fs::path& root, const Manifest& manifest,
-               const lifecheck::FlowGraph& flow, CostReport* cost,
+               const analyzer::ChannelGraph& flow, CostReport* cost,
                const analyzer::SourceTree* tree) {
   analyzer::SourceTree local;
   if (!tree) {
@@ -1043,7 +1018,8 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   for (const QuorumSpec& qs : manifest.quorums) {
     std::vector<std::size_t> unit_files;
     for (std::size_t fi = 0; fi < tree->files.size(); ++fi)
-      if (path_stem(tree->files[fi].rel) == qs.unit) unit_files.push_back(fi);
+      if (analyzer::path_stem(tree->files[fi].rel) == qs.unit)
+        unit_files.push_back(fi);
     if (unit_files.empty())
       throw std::runtime_error("quorum unit '" + qs.unit +
                                "' matches no file under root");

@@ -34,8 +34,9 @@
 //     odd n only when the manifest says `odd_n = true`), i.e. two quorums
 //     always intersect.
 //
-// costcheck consumes lifecheck's module×event flow graph: manifest modules
-// and tags are validated against the extracted topology, so a stale
+// costcheck reads the module×event channel graph
+// (tools/analyzer_common/channels.hpp) that lifecheck extracts: manifest
+// modules and tags are validated against that topology, so a stale
 // manifest is a hard error (exit 2), not a silently vacuous check.
 //
 // Intentional exceptions use the shared suppression syntax
@@ -51,8 +52,8 @@
 #include <utility>
 #include <vector>
 
+#include "channels.hpp"
 #include "diagnostics.hpp"
-#include "lifecheck.hpp"
 #include "source.hpp"
 
 namespace costcheck {
@@ -135,15 +136,16 @@ struct CostReport {
   std::vector<StackCost> stacks;
 };
 
-/// Scans every .hpp/.cpp under `root` against the manifest. `flow` is
-/// lifecheck's extracted flow graph for the same tree (used to validate the
-/// manifest's modules/tags; stale entries throw). When `cost` is non-null
+/// Scans every .hpp/.cpp under `root` against the manifest. `flow` is the
+/// channel graph of the same tree (used to validate the manifest's
+/// modules/tags; stale entries throw). When `cost` is non-null
 /// it receives the derived polynomials. When `tree` is non-null it is used
 /// instead of re-reading the root (the abcheck driver loads the tree once).
 /// Throws std::runtime_error on structural errors: unknown modules/tags,
 /// unparseable model functions, missing quorum units.
 Report analyze(const std::filesystem::path& root, const Manifest& manifest,
-               const lifecheck::FlowGraph& flow, CostReport* cost = nullptr,
+               const analyzer::ChannelGraph& flow,
+               CostReport* cost = nullptr,
                const analyzer::SourceTree* tree = nullptr);
 
 /// Machine-readable report (schema: {version, tool, root, summary,

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "lexer.hpp"
 #include "suppress.hpp"
@@ -12,9 +13,12 @@ namespace fs = std::filesystem;
 
 namespace lifecheck {
 
+using analyzer::Site;
 using analyzer::Suppression;
 using analyzer::Token;
+using analyzer::match_paren;
 using analyzer::member_access;
+using analyzer::range_mentions;
 using analyzer::skip_template_args;
 using analyzer::tok_is;
 
@@ -35,11 +39,6 @@ const std::set<std::string> kKnownRules = {
 bool Manifest::is_instance_file(const std::string& relative_path) const {
   return std::find(instance_files.begin(), instance_files.end(),
                    relative_path) != instance_files.end();
-}
-
-bool Manifest::is_app_event(const std::string& name) const {
-  return std::find(app_events.begin(), app_events.end(), name) !=
-         app_events.end();
 }
 
 Manifest parse_manifest(std::istream& in) {
@@ -115,131 +114,11 @@ Manifest load_manifest(const fs::path& file) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Token helpers
-// ---------------------------------------------------------------------------
-
 namespace {
-
-std::vector<int> brace_depth(const std::vector<Token>& t) {
-  std::vector<int> depth(t.size(), 0);
-  int d = 0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].text == "{") {
-      depth[i] = d;
-      ++d;
-    } else if (t[i].text == "}") {
-      if (d > 0) --d;
-      depth[i] = d;
-    } else {
-      depth[i] = d;
-    }
-  }
-  return depth;
-}
-
-/// Index of the ')' matching the '(' at `open`, or t.size().
-std::size_t match_paren(const std::vector<Token>& t, std::size_t open) {
-  int pd = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].text == "(") ++pd;
-    else if (t[i].text == ")" && --pd == 0) return i;
-  }
-  return t.size();
-}
-
-bool range_mentions(const std::vector<Token>& t, std::size_t a, std::size_t b,
-                    const std::string& name) {
-  for (std::size_t j = a; j < b && j < t.size(); ++j)
-    if (t[j].ident && t[j].text == name) return true;
-  return false;
-}
-
-/// First kEv*/kMod* identifier in [a, b).
-const Token* arg_registry_name(const std::vector<Token>& t, std::size_t a,
-                               std::size_t b, const char* prefix) {
-  for (std::size_t j = a; j < b && j < t.size(); ++j)
-    if (t[j].ident && t[j].text.rfind(prefix, 0) == 0) return &t[j];
-  return nullptr;
-}
-
-/// Token range of argument `argno` (1-based) of the call whose '(' is at
-/// `open`; nested (), {}, [] are skipped.
-bool call_arg_range(const std::vector<Token>& t, std::size_t open, int argno,
-                    std::size_t& abegin, std::size_t& aend) {
-  int pd = 0, bd = 0, sd = 0, arg = 1;
-  std::size_t begin = open + 1;
-  for (std::size_t j = open; j < t.size(); ++j) {
-    const std::string& s = t[j].text;
-    if (s == "(") {
-      if (++pd == 1) begin = j + 1;
-      continue;
-    }
-    if (s == ")") {
-      if (--pd == 0) {
-        if (arg == argno) {
-          abegin = begin;
-          aend = j;
-          return true;
-        }
-        return false;
-      }
-      continue;
-    }
-    if (pd == 1) {
-      if (s == "{") ++bd;
-      else if (s == "}") --bd;
-      else if (s == "[") ++sd;
-      else if (s == "]") --sd;
-      else if (s == "," && bd == 0 && sd == 0) {
-        if (arg == argno) {
-          abegin = begin;
-          aend = j;
-          return true;
-        }
-        ++arg;
-        begin = j + 1;
-      }
-    }
-  }
-  return false;
-}
-
-/// Demux tag constants: `constexpr std::uint8_t kName = <literal>` (same
-/// recognizer wirecheck uses, so the flow graph's tag sets line up with the
-/// wire.asym universe).
-std::set<std::string> tag_constants(const std::vector<Token>& t) {
-  std::set<std::string> tags;
-  for (std::size_t i = 4; i + 3 < t.size(); ++i) {
-    if (!t[i].ident || t[i].text != "uint8_t") continue;
-    if (!(t[i - 1].text == ":" && t[i - 2].text == ":" &&
-          t[i - 3].text == "std" &&
-          (t[i - 4].text == "constexpr" || t[i - 4].text == "const")))
-      continue;
-    if (t[i + 1].ident && tok_is(t, i + 2, "=") && !t[i + 3].ident)
-      tags.insert(t[i + 1].text);
-  }
-  return tags;
-}
-
-/// Path minus extension: the header/source pair of one translation unit.
-std::string path_stem(const std::string& rel) {
-  const std::size_t dot = rel.rfind('.');
-  const std::size_t slash = rel.rfind('/');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash))
-    return rel;
-  return rel.substr(0, dot);
-}
 
 // ---------------------------------------------------------------------------
 // Cross-file fact stores
 // ---------------------------------------------------------------------------
-
-struct Site {
-  std::size_t file_idx = 0;
-  int line = 0;
-};
 
 struct TimerFacts {
   std::map<std::string, Site> fields;  ///< TimerId field declarations by name
@@ -268,24 +147,11 @@ struct SwitchSite {
   std::vector<std::pair<std::string, std::string>> labels;
 };
 
-struct FlowFacts {
-  struct Chan {
-    std::set<std::string> producers;  ///< file rel paths
-    std::set<std::string> handlers;
-  };
-  std::map<std::string, Chan> modules, events;
-  std::map<std::string, Site> first_handler;  ///< flag site per channel
-  std::set<std::string> registry;
-  bool registry_seen = false;
-};
-
 struct Facts {
   std::map<std::string, TimerFacts> timers;  ///< by path stem
   std::map<std::string, InstFacts> inst;     ///< by path stem
   std::map<std::string, std::set<std::string>> enums;
   std::vector<SwitchSite> switches;
-  std::map<std::string, std::set<std::string>> stem_tags;
-  FlowFacts flow;
 };
 
 // ---------------------------------------------------------------------------
@@ -509,54 +375,6 @@ void collect_switches(const std::vector<Token>& t,
   }
 }
 
-void collect_flow_facts(const std::vector<Token>& t, std::size_t file_idx,
-                        const std::string& rel, FlowFacts& facts) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!t[i].ident || !tok_is(t, i + 1, "(")) continue;
-    const std::string& s = t[i].text;
-    std::size_t a, b;
-    if (s == "bind") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kEv")) {
-          facts.events[n->text].handlers.insert(rel);
-          facts.first_handler.emplace(n->text, Site{file_idx, n->line});
-        }
-    } else if (s == "bind_wire") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kMod")) {
-          facts.modules[n->text].handlers.insert(rel);
-          facts.first_handler.emplace(n->text, Site{file_idx, n->line});
-        }
-    } else if (s == "local" && i >= 3 && t[i - 1].text == ":" &&
-               t[i - 2].text == ":" && t[i - 3].text == "Event") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kEv"))
-          facts.events[n->text].producers.insert(rel);
-    } else if (s == "send_wire" || s == "send_wire_to_others") {
-      const int argno = (s == "send_wire") ? 2 : 1;
-      if (call_arg_range(t, i + 1, argno, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kMod"))
-          facts.modules[n->text].producers.insert(rel);
-    }
-  }
-}
-
-/// Registry declarations: `... EventType kEvX = ...` / `... ModuleId kModX
-/// = ...` in the manifest-named header.
-void parse_registry(const std::vector<Token>& t, FlowFacts& facts) {
-  facts.registry_seen = true;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (!t[i].ident) continue;
-    const bool ev = t[i].text == "EventType";
-    const bool mod = t[i].text == "ModuleId";
-    if (!ev && !mod) continue;
-    if (!t[i + 1].ident || !tok_is(t, i + 2, "=")) continue;
-    const char* prefix = ev ? "kEv" : "kMod";
-    if (t[i + 1].text.rfind(prefix, 0) == 0)
-      facts.registry.insert(t[i + 1].text);
-  }
-}
-
 std::string join_sorted(const std::set<std::string>& names) {
   std::string out;
   for (const std::string& n : names) {
@@ -573,12 +391,14 @@ std::string join_sorted(const std::set<std::string>& names) {
 // ---------------------------------------------------------------------------
 
 Report analyze(const fs::path& root, const Manifest& manifest,
-               FlowGraph* flow, const analyzer::SourceTree* tree) {
+               analyzer::ChannelGraph* flow, const analyzer::SourceTree* tree) {
   analyzer::SourceTree local;
   if (!tree) {
     local = analyzer::load_tree(root);
     tree = &local;
   }
+  analyzer::ChannelGraph graph = analyzer::extract_channels(
+      *tree, manifest.events_registry, manifest.app_events);
 
   Report report;
   std::vector<FileWork> works;
@@ -591,11 +411,11 @@ Report analyze(const fs::path& root, const Manifest& manifest,
 
     FileWork wk;
     wk.rel = rel;
-    wk.stem = path_stem(rel);
+    wk.stem = analyzer::path_stem(rel);
     wk.sups = analyzer::collect_suppressions("lifecheck", kKnownRules, rel,
                                              src.lines, report.diagnostics);
     const std::vector<Token>& toks = src.tokens;
-    const std::vector<int> depth = brace_depth(toks);
+    const std::vector<int> depth = analyzer::brace_depth(toks);
     const std::size_t idx = works.size();
 
     collect_timer_facts(toks, idx, wk, facts.timers[wk.stem]);
@@ -603,11 +423,6 @@ Report analyze(const fs::path& root, const Manifest& manifest,
                        facts.inst[wk.stem]);
     collect_enums(toks, facts.enums);
     collect_switches(toks, depth, idx, facts.switches);
-    collect_flow_facts(toks, idx, rel, facts.flow);
-    const std::set<std::string> tags = tag_constants(toks);
-    if (!tags.empty())
-      facts.stem_tags[wk.stem].insert(tags.begin(), tags.end());
-    if (rel == manifest.events_registry) parse_registry(toks, facts.flow);
 
     ++report.files_scanned;
     works.push_back(std::move(wk));
@@ -617,7 +432,7 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   for (const auto& [stem, tf] : facts.timers) {
     for (const auto& [name, decl] : tf.fields) {
       if (tf.armed.count(name) && !tf.cancelled.count(name)) {
-        works[decl.file_idx].flag(
+        works[decl.file].flag(
             decl.line, "timer.leak",
             "timer field '" + name + "' is armed but '" + stem +
                 ".*' never passes it to cancel_timer: no teardown or decide "
@@ -626,7 +441,7 @@ Report analyze(const fs::path& root, const Manifest& manifest,
     }
     if (tf.has_cancel_call) {
       for (const Site& site : tf.discarded) {
-        works[site.file_idx].flag(
+        works[site.file].flag(
             site.line, "timer.lost",
             "set_timer return value is discarded although '" + stem +
                 ".*' cancels timers elsewhere: this timer's id is "
@@ -638,7 +453,7 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   for (const auto& [stem, fi] : facts.inst) {
     for (const auto& [name, field] : fi.fields) {
       if (!fi.released.count(name)) {
-        works[field.decl.file_idx].flag(
+        works[field.decl.file].flag(
             field.decl.line, "inst.leak",
             "per-instance container '" + name + "' (std::" + field.container +
                 ") has no erase/clear/pop release site in '" + stem +
@@ -665,7 +480,7 @@ Report analyze(const fs::path& root, const Manifest& manifest,
         family_desc = "enum " + qual;
       }
     }
-    if (!family && facts.flow.registry_seen) {
+    if (!family) {
       const bool all_mod =
           std::all_of(covered.begin(), covered.end(), [](const std::string& n) {
             return n.rfind("kMod", 0) == 0;
@@ -676,9 +491,8 @@ Report analyze(const fs::path& root, const Manifest& manifest,
           });
       if (all_mod || all_ev) {
         registry_family.clear();
-        const char* prefix = all_mod ? "kMod" : "kEv";
-        for (const std::string& n : facts.flow.registry)
-          if (n.rfind(prefix, 0) == 0) registry_family.insert(n);
+        for (const auto& [n, ch] : all_mod ? graph.modules : graph.events)
+          registry_family.insert(n);
         if (!registry_family.empty()) {
           family = &registry_family;
           family_desc = all_mod ? "ModuleId registry" : "EventType registry";
@@ -686,15 +500,14 @@ Report analyze(const fs::path& root, const Manifest& manifest,
       }
     }
     if (!family && qual.empty()) {
-      auto ti = facts.stem_tags.find(works[sw.site.file_idx].stem);
-      if (ti != facts.stem_tags.end()) {
+      auto ti = graph.unit_tags.find(works[sw.site.file].stem);
+      if (ti != graph.unit_tags.end()) {
         const bool all_tags = std::all_of(
             covered.begin(), covered.end(),
             [&](const std::string& n) { return ti->second.count(n) > 0; });
         if (all_tags) {
           family = &ti->second;
-          family_desc =
-              "wire tags of " + works[sw.site.file_idx].stem + ".*";
+          family_desc = "wire tags of " + works[sw.site.file].stem + ".*";
         }
       }
     }
@@ -703,7 +516,7 @@ Report analyze(const fs::path& root, const Manifest& manifest,
     for (const std::string& n : *family)
       if (!covered.count(n)) missing.insert(n);
     if (!missing.empty()) {
-      works[sw.site.file_idx].flag(
+      works[sw.site.file].flag(
           sw.site.line, "state.switch",
           "switch over " + family_desc + " has no default and misses " +
               join_sorted(missing) +
@@ -711,26 +524,19 @@ Report analyze(const fs::path& root, const Manifest& manifest,
     }
   }
 
-  std::set<std::string> unreachable;
-  if (facts.flow.registry_seen) {
-    auto check = [&](const std::map<std::string, FlowFacts::Chan>& chans,
-                     const char* kind) {
-      for (const auto& [name, chan] : chans) {
-        if (!facts.flow.registry.count(name)) continue;
-        if (manifest.is_app_event(name)) continue;
-        if (chan.handlers.empty() || !chan.producers.empty()) continue;
-        unreachable.insert(name);
-        const Site& site = facts.flow.first_handler.at(name);
-        works[site.file_idx].flag(
-            site.line, "flow.unreachable",
-            std::string(kind) + " '" + name +
-                "' has a handler but no send/raise path in the tree can "
-                "reach it: dead protocol surface");
-      }
-    };
-    check(facts.flow.modules, "module id");
-    check(facts.flow.events, "event");
-  }
+  auto check = [&](const std::map<std::string, analyzer::Channel>& chans,
+                   const char* kind) {
+    for (const auto& [name, ch] : chans) {
+      if (!ch.unreachable()) continue;
+      works[ch.first_handler.file].flag(
+          ch.first_handler.line, "flow.unreachable",
+          std::string(kind) + " '" + name +
+              "' has a handler but no send/raise path in the tree can "
+              "reach it: dead protocol surface");
+    }
+  };
+  check(graph.modules, "module id");
+  check(graph.events, "event");
 
   // Pass 3: suppression lifecycle, then stable output order.
   for (FileWork& wk : works) {
@@ -740,127 +546,12 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   }
   report.sort_stable();
 
-  if (flow) {
-    *flow = FlowGraph{};
-    for (const std::string& name : facts.flow.registry) {
-      const bool is_mod = name.rfind("kMod", 0) == 0;
-      auto& chans = is_mod ? facts.flow.modules : facts.flow.events;
-      FlowGraph::Channel ch;
-      auto ci = chans.find(name);
-      if (ci != chans.end()) {
-        ch.producers = ci->second.producers;
-        ch.handlers = ci->second.handlers;
-      }
-      if (is_mod) {
-        for (const std::string& producer : ch.producers) {
-          auto ti = facts.stem_tags.find(path_stem(producer));
-          if (ti != facts.stem_tags.end())
-            ch.tags.insert(ti->second.begin(), ti->second.end());
-        }
-        flow->modules.emplace(name, std::move(ch));
-      } else {
-        flow->events.emplace(name, std::move(ch));
-      }
-    }
-    flow->unreachable.assign(unreachable.begin(), unreachable.end());
-  }
-
+  if (flow) *flow = std::move(graph);
   return report;
 }
 
 std::string to_json(const Report& report, const std::string& root) {
   return analyzer::to_json(report, "lifecheck", root);
-}
-
-// ---------------------------------------------------------------------------
-// Flow-graph serialization
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void append_string_array(std::string& out, const char* key,
-                         const std::set<std::string>& values,
-                         const char* indent, bool trailing_comma) {
-  out += indent;
-  out += "\"";
-  out += key;
-  out += "\": [";
-  bool first = true;
-  for (const std::string& v : values) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + analyzer::json_escape(v) + "\"";
-  }
-  out += trailing_comma ? "],\n" : "]\n";
-}
-
-void append_channels(std::string& out, const char* key,
-                     const std::map<std::string, FlowGraph::Channel>& chans,
-                     bool with_tags) {
-  out += "  \"";
-  out += key;
-  out += "\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, ch] : chans) {
-    out += "    \"" + analyzer::json_escape(name) + "\": {\n";
-    append_string_array(out, "producers", ch.producers, "      ", true);
-    append_string_array(out, "handlers", ch.handlers, "      ", with_tags);
-    if (with_tags)
-      append_string_array(out, "tags", ch.tags, "      ", false);
-    out += ++i < chans.size() ? "    },\n" : "    }\n";
-  }
-  out += "  },\n";
-}
-
-}  // namespace
-
-std::string flow_to_json(const FlowGraph& g) {
-  std::string out = "{\n  \"version\": 1,\n";
-  append_channels(out, "modules", g.modules, true);
-  append_channels(out, "events", g.events, false);
-  std::set<std::string> unreachable(g.unreachable.begin(),
-                                    g.unreachable.end());
-  append_string_array(out, "unreachable", unreachable, "  ", false);
-  out += "}\n";
-  return out;
-}
-
-std::string flow_to_dot(const FlowGraph& g) {
-  std::string out =
-      "// Module×event flow graph extracted by tools/lifecheck.\n"
-      "// Boxes are source files; ellipses are registry channels\n"
-      "// (blue = wire module ids, yellow = local event types).\n"
-      "digraph abcast_flow {\n"
-      "  rankdir=LR;\n"
-      "  node [shape=box, fontsize=10];\n";
-  auto emit = [&out](const std::map<std::string, FlowGraph::Channel>& chans,
-                     const char* color, bool with_tags) {
-    for (const auto& [name, ch] : chans) {
-      out += "  \"" + name + "\" [shape=ellipse, style=filled, fillcolor=" +
-             color;
-      if (with_tags && !ch.tags.empty()) {
-        out += ", label=\"" + name + "\\n";
-        bool first = true;
-        for (const std::string& tag : ch.tags) {
-          if (!first) out += " ";
-          first = false;
-          out += tag;
-        }
-        out += "\"";
-      }
-      out += "];\n";
-      for (const std::string& p : ch.producers)
-        out += "  \"" + p + "\" -> \"" + name + "\";\n";
-      for (const std::string& h : ch.handlers)
-        out += "  \"" + name + "\" -> \"" + h + "\";\n";
-    }
-  };
-  emit(g.modules, "lightblue", true);
-  emit(g.events, "lightyellow", false);
-  for (const std::string& name : g.unreachable)
-    out += "  \"" + name + "\" [color=red, penwidth=2];\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace lifecheck

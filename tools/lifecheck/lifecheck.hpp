@@ -32,13 +32,15 @@
 //     enumerators: new message kinds would be silently dropped.
 //   * flow.unreachable — a bind/bind_wire handler for a registry event or
 //     module id that no send_wire/send_wire_to_others/Event::local site in
-//     the tree can reach (manifest [events] app names are exempt, matching
-//     wirecheck).
+//     the tree can reach (manifest [events] app names are exempt).
 //
-// lifecheck also extracts the module×event flow graph behind the
-// flow.unreachable rule (who produces and who handles every registry
-// channel, plus the wire tags each module speaks) as JSON and DOT, so the
-// protocol message topology can be committed and diffed like a benchmark.
+// The manifest's [events] section is the one declaration of the
+// EventType/ModuleId registry. lifecheck extracts the module×event channel
+// graph from it (tools/analyzer_common/channels.hpp: who produces and who
+// handles every registry channel, plus the wire tags each module speaks),
+// derives flow.unreachable and its registry and wire-tag switch families
+// from that graph, and hands the graph out so the abcheck driver can pass
+// it to wirecheck and costcheck and commit it as JSON and DOT.
 //
 // Intentional exceptions use the shared suppression syntax
 //   // lifecheck:allow(<rule>): <justification>
@@ -49,11 +51,10 @@
 
 #include <filesystem>
 #include <iosfwd>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "channels.hpp"
 #include "diagnostics.hpp"
 #include "source.hpp"
 
@@ -78,14 +79,14 @@ struct Manifest {
   /// fields hold per-instance protocol state and need release sites.
   std::vector<std::string> instance_files;
   /// Header declaring the EventType/ModuleId registry (kEv*/kMod*
-  /// constants); empty disables the flow pass.
+  /// constants); only its names are channels. Empty disables the flow
+  /// pass; a path that names no scanned file is an error.
   std::string events_registry;
-  /// Event/module names exempt from flow.unreachable (application-facing
-  /// channels produced or consumed outside the scanned tree).
+  /// Application-facing channels, produced or consumed outside the
+  /// scanned tree: exempt from flow.unreachable and wire.unhandled.
   std::vector<std::string> app_events;
 
   bool is_instance_file(const std::string& relative_path) const;
-  bool is_app_event(const std::string& name) const;
 };
 
 /// Parses a life.toml-style manifest ([instances], [events] sections).
@@ -93,38 +94,18 @@ struct Manifest {
 Manifest parse_manifest(std::istream& in);
 Manifest load_manifest(const std::filesystem::path& file);
 
-/// The extracted module×event flow graph. Keys are registry names (kMod*,
-/// kEv*); file sets hold root-relative paths.
-struct FlowGraph {
-  struct Channel {
-    std::set<std::string> producers;  ///< files that send/raise the channel
-    std::set<std::string> handlers;   ///< files that bind a handler
-    std::set<std::string> tags;       ///< wire tags spoken by producers
-  };
-  std::map<std::string, Channel> modules;  ///< kMod* demux targets
-  std::map<std::string, Channel> events;   ///< kEv* local events
-  /// Channels with a handler but no producer (app names excluded); the
-  /// same set the flow.unreachable rule flags, kept here regardless of
-  /// suppressions so the committed topology never hides an edge.
-  std::vector<std::string> unreachable;
-};
-
 /// Scans every .hpp/.cpp under `root` against the lifecycle rules. When
-/// `flow` is non-null it is filled with the extracted flow graph. When
-/// `tree` is non-null it is used instead of re-reading the root (the
-/// abcheck driver loads and lexes the tree once for all analyzers).
+/// `flow` is non-null it receives the channel graph extracted from the
+/// manifest's registry. When `tree` is non-null it is used instead of
+/// re-reading the root (the abcheck driver loads and lexes the tree once
+/// for all analyzers). Throws std::runtime_error when the registry names
+/// no scanned file.
 Report analyze(const std::filesystem::path& root, const Manifest& manifest,
-               FlowGraph* flow = nullptr,
+               analyzer::ChannelGraph* flow = nullptr,
                const analyzer::SourceTree* tree = nullptr);
 
 /// Machine-readable report (schema: {version, tool, root, summary,
 /// diagnostics}).
 std::string to_json(const Report& report, const std::string& root);
-
-/// Flow-graph serializations. The JSON is key-sorted and array-stable so it
-/// can be committed and gated with tools/benchdiff; the DOT mirrors it for
-/// human consumption.
-std::string flow_to_json(const FlowGraph& g);
-std::string flow_to_dot(const FlowGraph& g);
 
 }  // namespace lifecheck

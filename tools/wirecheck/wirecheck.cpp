@@ -44,14 +44,9 @@ bool Manifest::is_hot(const std::string& relative_path) const {
          hot_files.end();
 }
 
-bool Manifest::is_app_event(const std::string& name) const {
-  return std::find(app_events.begin(), app_events.end(), name) !=
-         app_events.end();
-}
-
 Manifest parse_manifest(std::istream& in) {
   Manifest m;
-  enum class Sec { kNone, kHot, kEvents, kFormat };
+  enum class Sec { kNone, kHot, kFormat };
   Sec sec = Sec::kNone;
   std::string line;
   int lineno = 0;
@@ -68,8 +63,6 @@ Manifest parse_manifest(std::istream& in) {
       std::string section = trim(line.substr(1, line.size() - 2));
       if (section == "hot") {
         sec = Sec::kHot;
-      } else if (section == "events") {
-        sec = Sec::kEvents;
       } else if (section.rfind("format ", 0) == 0) {
         Format f;
         f.name = trim(section.substr(7));
@@ -100,16 +93,6 @@ Manifest parse_manifest(std::istream& in) {
           throw std::runtime_error(std::to_string(lineno) +
                                    ": unknown [hot] key " + key);
         m.hot_files = split_ws(value);
-        break;
-      case Sec::kEvents:
-        if (key == "registry") {
-          m.events_registry = value;
-        } else if (key == "app") {
-          m.app_events = split_ws(value);
-        } else {
-          throw std::runtime_error(std::to_string(lineno) +
-                                   ": unknown [events] key " + key);
-        }
         break;
       case Sec::kFormat: {
         Format& f = m.formats.back();
@@ -219,26 +202,6 @@ std::string join_ops(const std::vector<std::string>& ops) {
   return s;
 }
 
-/// Brace depth at every token ('{' carries the pre-open depth, '}' the
-/// post-close depth, so a block's braces sit at the depth of the enclosing
-/// scope and its contents one deeper).
-std::vector<int> brace_depth(const std::vector<Token>& t) {
-  std::vector<int> depth(t.size(), 0);
-  int d = 0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].text == "{") {
-      depth[i] = d;
-      ++d;
-    } else if (t[i].text == "}") {
-      if (d > 0) --d;
-      depth[i] = d;
-    } else {
-      depth[i] = d;
-    }
-  }
-  return depth;
-}
-
 /// Variables declared (or passed) as ByteWriter/ByteReader in this file.
 std::set<std::string> var_names(const std::vector<Token>& t,
                                 const char* type_name) {
@@ -250,23 +213,6 @@ std::set<std::string> var_names(const std::vector<Token>& t,
     if (j < t.size() && t[j].ident) out.insert(t[j].text);
   }
   return out;
-}
-
-/// Demux tag constants: `constexpr std::uint8_t kName = <literal>`. The
-/// literal requirement keeps runtime reads (`const std::uint8_t kind =
-/// r.u8();`) out of the tag set.
-std::map<std::string, int> tag_constants(const std::vector<Token>& t) {
-  std::map<std::string, int> tags;
-  for (std::size_t i = 4; i + 3 < t.size(); ++i) {
-    if (!t[i].ident || t[i].text != "uint8_t") continue;
-    if (!(t[i - 1].text == ":" && t[i - 2].text == ":" &&
-          t[i - 3].text == "std" &&
-          (t[i - 4].text == "constexpr" || t[i - 4].text == "const")))
-      continue;
-    if (t[i + 1].ident && tok_is(t, i + 2, "=") && !t[i + 3].ident)
-      tags.emplace(t[i + 1].text, t[i + 1].line);
-  }
-  return tags;
 }
 
 /// Collects normalized Reader ops over the token range [a, b).
@@ -332,7 +278,7 @@ void collect_writer_ops(const std::vector<Token>& t, std::size_t a,
 void extract_tag_encoders(const std::vector<Token>& t,
                           const std::vector<int>& depth,
                           const std::set<std::string>& writers,
-                          const std::map<std::string, int>& tags,
+                          const std::set<std::string>& tags,
                           std::map<std::string, std::vector<OpSeq>>& out) {
   for (std::size_t i = 0; i + 5 < t.size(); ++i) {
     if (!t[i].ident || !writers.count(t[i].text)) continue;
@@ -379,7 +325,7 @@ void extract_tag_encoders(const std::vector<Token>& t,
 void extract_tag_decoders(const std::vector<Token>& t,
                           const std::vector<int>& depth,
                           const std::set<std::string>& readers,
-                          const std::map<std::string, int>& tags,
+                          const std::set<std::string>& tags,
                           std::map<std::string, std::vector<OpSeq>>& out) {
   auto matching_close = [&](std::size_t open) {
     for (std::size_t m = open + 1; m < t.size(); ++m)
@@ -502,120 +448,6 @@ bool find_function_body(const std::vector<Token>& t,
 }
 
 // ---------------------------------------------------------------------------
-// Cross-reference facts (events / module ids across the whole tree)
-// ---------------------------------------------------------------------------
-
-struct Site {
-  std::size_t file_idx = 0;
-  int line = 0;
-};
-
-struct CrossFacts {
-  std::map<std::string, Site> raised_events, bound_events;
-  std::map<std::string, Site> sent_modules, bound_modules;
-  std::set<std::string> registry;  ///< names declared in the registry header
-  bool registry_seen = false;
-};
-
-/// Token range [abegin, aend) of the argno-th (1-based) argument of the
-/// call whose '(' is at `open`.
-bool call_arg_range(const std::vector<Token>& t, std::size_t open, int argno,
-                    std::size_t& abegin, std::size_t& aend) {
-  int pd = 0, bd = 0, sd = 0, arg = 1;
-  std::size_t begin = open + 1;
-  for (std::size_t j = open; j < t.size(); ++j) {
-    const std::string& s = t[j].text;
-    if (s == "(") {
-      if (++pd == 1) begin = j + 1;
-      continue;
-    }
-    if (s == ")") {
-      if (--pd == 0) {
-        if (arg == argno) {
-          abegin = begin;
-          aend = j;
-          return true;
-        }
-        return false;
-      }
-      continue;
-    }
-    if (pd == 1) {
-      if (s == "{") ++bd;
-      else if (s == "}") --bd;
-      else if (s == "[") ++sd;
-      else if (s == "]") --sd;
-      else if (s == "," && bd == 0 && sd == 0) {
-        if (arg == argno) {
-          abegin = begin;
-          aend = j;
-          return true;
-        }
-        ++arg;
-        begin = j + 1;
-      }
-    }
-  }
-  return false;
-}
-
-/// First identifier in [a, b) carrying the given registry prefix.
-const Token* arg_registry_name(const std::vector<Token>& t, std::size_t a,
-                               std::size_t b, const char* prefix) {
-  for (std::size_t j = a; j < b && j < t.size(); ++j)
-    if (t[j].ident && t[j].text.rfind(prefix, 0) == 0) return &t[j];
-  return nullptr;
-}
-
-void record_site(std::map<std::string, Site>& facts, const std::string& name,
-                 std::size_t file_idx, int line) {
-  facts.emplace(name, Site{file_idx, line});
-}
-
-void collect_cross_facts(const std::vector<Token>& t, std::size_t file_idx,
-                         CrossFacts& facts) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!t[i].ident || !tok_is(t, i + 1, "(")) continue;
-    const std::string& s = t[i].text;
-    std::size_t a, b;
-    if (s == "bind") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kEv"))
-          record_site(facts.bound_events, n->text, file_idx, n->line);
-    } else if (s == "bind_wire") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kMod"))
-          record_site(facts.bound_modules, n->text, file_idx, n->line);
-    } else if (s == "local" && i >= 3 && t[i - 1].text == ":" &&
-               t[i - 2].text == ":" && t[i - 3].text == "Event") {
-      if (call_arg_range(t, i + 1, 1, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kEv"))
-          record_site(facts.raised_events, n->text, file_idx, n->line);
-    } else if (s == "send_wire" || s == "send_wire_to_others") {
-      const int argno = (s == "send_wire") ? 2 : 1;
-      if (call_arg_range(t, i + 1, argno, a, b))
-        if (const Token* n = arg_registry_name(t, a, b, "kMod"))
-          record_site(facts.sent_modules, n->text, file_idx, n->line);
-    }
-  }
-}
-
-/// Registry declarations: `... EventType kEvX = ...` / `... ModuleId kModX
-/// = ...` in the manifest-named header.
-void parse_registry(const std::vector<Token>& t, CrossFacts& facts) {
-  facts.registry_seen = true;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (!t[i].ident) continue;
-    const bool ev = t[i].text == "EventType";
-    const bool mod = t[i].text == "ModuleId";
-    if (!ev && !mod) continue;
-    if (!t[i + 1].ident || !tok_is(t, i + 2, "=")) continue;
-    const char* prefix = ev ? "kEv" : "kMod";
-    if (t[i + 1].text.rfind(prefix, 0) == 0) facts.registry.insert(t[i + 1].text);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Per-file analysis
 // ---------------------------------------------------------------------------
 
@@ -658,7 +490,7 @@ void check_hot_rules(FileWork& wk, const std::vector<Token>& toks) {
 
 void check_tag_contracts(FileWork& wk, const std::vector<Token>& toks,
                          const std::vector<int>& depth) {
-  const std::map<std::string, int> tags = tag_constants(toks);
+  const std::set<std::string> tags = analyzer::tag_constants(toks);
   if (tags.empty()) return;
   const std::set<std::string> writers = var_names(toks, "ByteWriter");
   const std::set<std::string> readers = var_names(toks, "ByteReader");
@@ -667,7 +499,7 @@ void check_tag_contracts(FileWork& wk, const std::vector<Token>& toks,
   if (!writers.empty()) extract_tag_encoders(toks, depth, writers, tags, enc);
   if (!readers.empty()) extract_tag_decoders(toks, depth, readers, tags, dec);
 
-  for (const auto& [tag, line] : tags) {
+  for (const std::string& tag : tags) {
     const auto ei = enc.find(tag);
     const auto di = dec.find(tag);
     const bool has_enc = ei != enc.end() && !ei->second.empty();
@@ -753,6 +585,7 @@ void check_formats(FileWork& wk, const std::vector<Token>& toks,
 // ---------------------------------------------------------------------------
 
 Report analyze(const fs::path& root, const Manifest& manifest,
+               const analyzer::ChannelGraph& channels,
                const analyzer::SourceTree* tree) {
   analyzer::SourceTree local;
   if (!tree) {
@@ -763,9 +596,8 @@ Report analyze(const fs::path& root, const Manifest& manifest,
   Report report;
   std::vector<FileWork> works;
   works.reserve(tree->files.size());
-  CrossFacts facts;
 
-  // Pass 1: per-file contracts; cross-file facts are only collected here.
+  // Pass 1: per-file contracts.
   for (const analyzer::SourceFile& src : tree->files) {
     const std::string& rel = src.rel;
 
@@ -777,47 +609,31 @@ Report analyze(const fs::path& root, const Manifest& manifest,
                                              src.lines, report.diagnostics);
 
     const std::vector<Token>& toks = src.tokens;
-    const std::vector<int> depth = brace_depth(toks);
+    const std::vector<int> depth = analyzer::brace_depth(toks);
 
     check_tag_contracts(wk, toks, depth);
     check_formats(wk, toks, depth, manifest);
     if (manifest.is_hot(rel)) check_hot_rules(wk, toks);
 
-    collect_cross_facts(toks, works.size(), facts);
-    if (!manifest.events_registry.empty() && rel == manifest.events_registry)
-      parse_registry(toks, facts);
-
     works.push_back(std::move(wk));
     ++report.files_scanned;
   }
 
-  // Pass 2: whole-tree send/handler cross-reference. When the registry
-  // header was scanned, facts are restricted to its declared names so
-  // unrelated kEv*/kMod*-looking identifiers cannot misfire.
-  auto in_registry = [&](const std::string& name) {
-    return !facts.registry_seen || facts.registry.count(name) != 0;
-  };
-  auto cross = [&](const std::map<std::string, Site>& have,
-                   const std::map<std::string, Site>& want,
-                   const std::string& rule, const std::string& what,
-                   const std::string& did, const std::string& missing) {
-    for (const auto& [name, site] : have) {
-      if (!in_registry(name) || manifest.is_app_event(name)) continue;
-      if (want.count(name)) continue;
-      works[site.file_idx].flag(site.line, rule,
-                                what + " '" + name + "' " + did + " but " +
-                                    missing);
+  // Pass 2: registry channels sent or raised with no handler anywhere.
+  auto unhandled = [&](const std::map<std::string, analyzer::Channel>& chans,
+                       const std::string& what, const std::string& missing) {
+    for (const auto& [name, ch] : chans) {
+      if (!ch.unhandled()) continue;
+      works[ch.first_producer.file].flag(ch.first_producer.line,
+                                         "wire.unhandled",
+                                         what + " '" + name + "' " + missing);
     }
   };
-  cross(facts.raised_events, facts.bound_events, "wire.unhandled", "event",
-        "is raised", "no composition binds a handler for it");
-  cross(facts.bound_events, facts.raised_events, "wire.dead", "event",
-        "has a bound handler", "nothing ever raises it");
-  cross(facts.sent_modules, facts.bound_modules, "wire.unhandled",
-        "module id", "is sent to the wire",
-        "no composition binds a demux handler for it");
-  cross(facts.bound_modules, facts.sent_modules, "wire.dead", "module id",
-        "has a bound demux handler", "nothing ever sends to it");
+  unhandled(channels.events, "event",
+            "is raised but no composition binds a handler for it");
+  unhandled(channels.modules, "module id",
+            "is sent to the wire but no composition binds a demux handler "
+            "for it");
 
   // Pass 3: suppression lifecycle, per file.
   for (FileWork& wk : works) {

@@ -14,11 +14,14 @@
 //     u32-length + slice ≡ blob, encode_X/decode_X helper calls match by
 //     name) so zero-copy decoders compare equal to their copying encoders.
 //   * wire.unhandled / wire.dead — every wire tag that is sent must have a
-//     decoder branch and every demux module id / local event type that is
-//     sent or raised must have a bind_wire/bind handler somewhere in the
-//     scanned tree (and vice versa: decoders, handlers, and tags nobody
-//     ever sends are flagged as dead). Application-facing events the tree
-//     intentionally leaves to harness code are exempted in the manifest.
+//     decoder branch in its file, and a tag with a decoder branch that
+//     nobody sends is dead. At channel level, every registry module id /
+//     local event type that is sent or raised must have a bind_wire/bind
+//     handler somewhere in the scanned tree. That check reads the
+//     module×event channel graph (tools/analyzer_common/channels.hpp,
+//     registry and application-facing exemptions declared in
+//     tools/lifecheck/life.toml); a handled channel nothing produces is
+//     lifecheck's flow.unreachable.
 //   * hot.alloc / hot.function / hot.copy — files marked hot in the
 //     manifest (event queue, network, stack dispatch, channel) must not
 //     heap-allocate per message (new/malloc/make_shared/make_unique),
@@ -37,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "channels.hpp"
 #include "diagnostics.hpp"
 #include "source.hpp"
 
@@ -45,7 +49,7 @@ namespace wirecheck {
 // --- Rule identifiers -------------------------------------------------------
 // wire.asym             encoder/decoder Writer/Reader sequences differ
 // wire.unhandled        tag/event/module id sent or raised with no handler
-// wire.dead             tag/event/module id handled but never sent/raised
+// wire.dead             tag with a decoder branch that is never sent
 // hot.alloc             per-message heap allocation in a hot file
 // hot.function          std::function construction in a hot file
 // hot.copy              payload deep-copy (to_bytes/detach) in a hot file
@@ -68,27 +72,24 @@ struct Format {
 struct Manifest {
   /// Files (relative to root) subject to the hot-path hygiene rules.
   std::vector<std::string> hot_files;
-  /// Header declaring the EventType/ModuleId registry (kEv*/kMod*
-  /// constants); empty disables the cross-reference pass.
-  std::string events_registry;
-  /// Event/module names exempt from the send/handler cross-reference
-  /// (application-facing events handled outside the scanned tree).
-  std::vector<std::string> app_events;
   std::vector<Format> formats;
 
   bool is_hot(const std::string& relative_path) const;
-  bool is_app_event(const std::string& name) const;
 };
 
-/// Parses a wire.toml-style manifest ([hot], [events], [format <name>]
-/// sections). Throws std::runtime_error on malformed input.
+/// Parses a wire.toml-style manifest ([hot] and [format <name>] sections).
+/// Throws std::runtime_error on malformed input.
 Manifest parse_manifest(std::istream& in);
 Manifest load_manifest(const std::filesystem::path& file);
 
 /// Scans every .hpp/.cpp under `root` against the three contract families.
-/// When `tree` is non-null it is used instead of re-reading the root (the
-/// abcheck driver loads and lexes the tree once for all analyzers).
+/// `channels` is the module×event graph of the same tree (lifecheck
+/// extracts it); a graph without channels skips the channel-level
+/// wire.unhandled check. When `tree` is non-null it is used instead of
+/// re-reading the root (the abcheck driver loads and lexes the tree once
+/// for all analyzers).
 Report analyze(const std::filesystem::path& root, const Manifest& manifest,
+               const analyzer::ChannelGraph& channels,
                const analyzer::SourceTree* tree = nullptr);
 
 /// Machine-readable report (schema: {version, tool, root, summary,
