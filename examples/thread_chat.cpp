@@ -56,13 +56,17 @@ int main(int argc, char** argv) {
 
   const char* lines[] = {"hi all",       "anyone here?", "yes!",
                          "who ordered?", "consensus did", "nice"};
-  // Each member posts from its own application thread, concurrently.
+  // Each member posts from its own application thread, concurrently. The
+  // call runs on the member's process thread: calling abcast() from another
+  // thread would race with the stack.
   std::vector<std::thread> posters;
   for (util::ProcessId p = 0; p < kMembers; ++p) {
     posters.emplace_back([&, p] {
       for (int i = 0; i < 2; ++i) {
         const char* text = lines[(p * 2 + i) % 6];
-        procs[p]->abcast(util::Bytes(text, text + std::strlen(text)));
+        world.post(p, [&procs, p, text] {
+          procs[p]->abcast(util::Bytes(text, text + std::strlen(text)));
+        });
         std::this_thread::sleep_for(std::chrono::milliseconds(3));
       }
     });

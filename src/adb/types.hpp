@@ -42,6 +42,9 @@ std::vector<AppMessage> decode_batch(std::span<const std::uint8_t> data);
 /// Size in bytes encode_message will produce (for size accounting).
 std::size_t encoded_size(const AppMessage& m);
 
+/// Sum of a batch's app payload sizes (what a send carries for the trace).
+std::size_t payload_bytes(const std::vector<AppMessage>& batch);
+
 /// Id-only batch codec, used by the indirect-consensus variant ([12],
 /// Ekwall & Schiper DSN'06): consensus agrees on 12-byte message ids while
 /// payloads travel only via diffusion.

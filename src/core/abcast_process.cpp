@@ -10,16 +10,22 @@ const char* to_string(StackKind kind) {
   return "?";
 }
 
+namespace {
+/// CPU cost of one module-boundary crossing in the composition framework
+/// (event allocation, dispatch, header push/pop). Charged per crossing by
+/// the Stack; only observable under the simulated runtime.
+constexpr util::Duration kModuleCrossingCost = util::microseconds(20);
+}  // namespace
+
 AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
     : options_(options) {
-  stack_ = std::make_unique<framework::Stack>(rt,
-                                              options.module_crossing_cost);
+  stack_ = std::make_unique<framework::Stack>(rt, kModuleCrossingCost);
   fd_ = std::make_unique<fd::HeartbeatFd>(options.fd);
   stack_->add(*fd_);
 
+  const adb::OrderingConfig& ordering = options;
   if (options.kind == StackKind::kModular) {
-    rbcast_ = std::make_unique<rbcast::ReliableBcast>(options.rbcast,
-                                                      fd_.get());
+    rbcast_ = std::make_unique<rbcast::ReliableBcast>(fd_.get());
     stack_->add(*rbcast_);
 
     consensus_ =
@@ -27,17 +33,10 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
                                                            fd_.get());
     stack_->add(*consensus_);
 
-    abcast::AbcastConfig cfg;
-    cfg.window = options.window;
-    cfg.max_batch = options.max_batch;
-    cfg.batch_bytes = options.batch_bytes;
-    cfg.batch_delay = options.batch_delay;
-    cfg.pipeline_depth = options.pipeline_depth;
-    cfg.liveness_timeout = options.liveness_timeout;
-    cfg.instance_overhead = options.instance_overhead;
-    cfg.indirect_consensus = options.indirect_consensus;
-    modular_ = std::make_unique<abcast::ModularAbcast>(cfg);
+    modular_ = std::make_unique<abcast::ModularAbcast>(
+        ordering, abcast::AbcastConfig{options.indirect_consensus});
     stack_->add(*modular_);
+    ordering_ = &modular_->ordering();
     if (options.indirect_consensus) {
       // The extended consensus specification ([12]): consensus defers acks
       // and proposals on values whose payloads this process does not hold.
@@ -48,20 +47,16 @@ AbcastProcess::AbcastProcess(runtime::Runtime& rt, StackOptions options)
     }
   } else {
     monolithic::MonolithicConfig cfg;
-    cfg.window = options.window;
-    cfg.max_batch = options.max_batch;
-    cfg.batch_bytes = options.batch_bytes;
-    cfg.batch_delay = options.batch_delay;
-    cfg.pipeline_depth = options.pipeline_depth;
-    cfg.liveness_timeout = options.liveness_timeout;
-    cfg.instance_overhead = options.instance_overhead;
     cfg.forward_flush_delay = options.forward_flush_delay;
+    cfg.pull_retry = options.consensus.pull_retry;
+    cfg.decision_retention = options.consensus.decision_retention;
     cfg.opt_combine = options.opt_combine;
     cfg.opt_piggyback = options.opt_piggyback;
     cfg.opt_cheap_decision = options.opt_cheap_decision;
-    monolithic_ =
-        std::make_unique<monolithic::MonolithicAbcast>(cfg, fd_.get());
+    monolithic_ = std::make_unique<monolithic::MonolithicAbcast>(
+        ordering, cfg, fd_.get());
     stack_->add(*monolithic_);
+    ordering_ = &monolithic_->ordering();
   }
 }
 
@@ -73,51 +68,34 @@ std::uint64_t AbcastProcess::abcast(util::Bytes payload) {
 }
 
 void AbcastProcess::set_deliver_handler(DeliverFn fn) {
-  if (modular_) {
-    modular_->set_deliver_handler(std::move(fn));
-  } else {
-    monolithic_->set_deliver_handler(std::move(fn));
-  }
+  ordering_->set_deliver_handler(std::move(fn));
 }
 
 void AbcastProcess::set_admit_handler(AdmitFn fn) {
-  if (modular_) {
-    modular_->set_admit_handler(std::move(fn));
-  } else {
-    monolithic_->set_admit_handler(std::move(fn));
-  }
+  ordering_->set_admit_handler(std::move(fn));
 }
 
 runtime::Protocol& AbcastProcess::protocol() { return *stack_; }
 
 ProcessStats AbcastProcess::stats() const {
+  const adb::OrderingStats& o = ordering_->stats();
   ProcessStats s;
+  s.delivered = o.delivered;
+  s.instances_completed = o.instances_completed;
+  s.messages_in_decisions = o.messages_in_decisions;
+  s.admitted = o.admitted;
   if (modular_) {
-    const auto& m = modular_->stats();
-    s.delivered = m.delivered;
-    s.instances_completed = m.instances_completed;
-    s.messages_in_decisions = m.messages_in_decisions;
-    s.admitted = m.admitted;
     s.max_round = consensus_->stats().max_round;
     s.late_decisions = consensus_->stats().late_decisions;
   } else {
-    const auto& m = monolithic_->stats();
-    s.delivered = m.delivered;
-    s.instances_completed = m.instances_completed;
-    s.messages_in_decisions = m.messages_in_decisions;
-    s.admitted = m.admitted;
-    s.max_round = m.max_round;
-    s.late_decisions = m.late_decisions;
+    s.max_round = monolithic_->stats().max_round;
+    s.late_decisions = monolithic_->stats().late_decisions;
   }
   return s;
 }
 
-std::size_t AbcastProcess::queued() const {
-  return modular_ ? modular_->queued() : monolithic_->queued();
-}
+std::size_t AbcastProcess::queued() const { return ordering_->queued(); }
 
-std::size_t AbcastProcess::in_flight() const {
-  return modular_ ? modular_->in_flight() : monolithic_->in_flight();
-}
+std::size_t AbcastProcess::in_flight() const { return ordering_->in_flight(); }
 
 }  // namespace modcast::core

@@ -23,6 +23,7 @@
 #include <memory>
 
 #include "abcast/modular_abcast.hpp"
+#include "adb/ordering.hpp"
 #include "consensus/chandra_toueg.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
@@ -39,44 +40,19 @@ enum class StackKind {
 
 const char* to_string(StackKind kind);
 
-struct StackOptions {
+/// The ordering options (window W, batch cap M, batching triggers,
+/// pipelining depth, the §3.3 silence timeout, the per-instance CPU cost)
+/// are adb::OrderingConfig's, identical in both stacks (§5.1).
+struct StackOptions : adb::OrderingConfig {
   StackKind kind = StackKind::kModular;
 
-  /// Flow control: per-process window W plus a per-consensus batch cap.
-  /// Identical in both stacks (§5.1). With the default (effectively
-  /// uncapped) batch, the messages ordered per consensus M is governed by
-  /// the global backlog n·W — the paper's "each process is allowed a
-  /// certain backlog" flow control. Benches that reproduce the §5.2 tables
-  /// pin max_batch = 4 to match the paper's M = 4 worked example.
-  std::size_t window = 2;
-  std::size_t max_batch = 64;
-
-  /// Batching triggers beyond the count cap (both stacks; see
-  /// adb::BatchPolicy): payload-byte threshold (0 disables) and δ-time
-  /// aggregation window (0 = propose eagerly, the paper's behavior).
-  std::size_t batch_bytes = 0;
-  util::Duration batch_delay = 0;
-  /// Consensus instances that may be undecided at once (k-deep pipelining,
-  /// both stacks). 1 = strictly sequential (the paper's behavior).
-  std::size_t pipeline_depth = 1;
-
-  /// CPU cost of one module-boundary crossing in the composition framework
-  /// (event allocation, dispatch, header push/pop). Charged per crossing by
-  /// the Stack; only observable under the simulated runtime.
-  util::Duration module_crossing_cost = util::microseconds(20);
-
   fd::FdConfig fd;
-  rbcast::RbcastConfig rbcast;
   consensus::ConsensusConfig consensus;
-  util::Duration liveness_timeout = util::milliseconds(500);
   /// Monolithic only: how long a non-coordinator waits before flushing its
   /// outbox as a standalone forward (see MonolithicConfig). Validation runs
   /// raise it so burst workloads never flush before the combined proposal
   /// arrives.
   util::Duration forward_flush_delay = util::microseconds(200);
-  /// Fixed per-consensus-instance CPU cost at every process (both stacks);
-  /// see abcast::AbcastConfig::instance_overhead.
-  util::Duration instance_overhead = util::microseconds(2500);
 
   /// Monolithic ablation toggles (§4.1–§4.3); ignored by the modular stack.
   bool opt_combine = true;
@@ -108,10 +84,8 @@ struct ProcessStats {
 
 class AbcastProcess {
  public:
-  using DeliverFn = std::function<void(util::ProcessId origin,
-                                       std::uint64_t seq,
-                                       const util::Bytes& payload)>;
-  using AdmitFn = std::function<void(std::uint64_t seq)>;
+  using DeliverFn = adb::Ordering::DeliverFn;
+  using AdmitFn = adb::Ordering::AdmitFn;
 
   AbcastProcess(runtime::Runtime& rt, StackOptions options);
   ~AbcastProcess();
@@ -139,6 +113,8 @@ class AbcastProcess {
 
   framework::Stack& stack() { return *stack_; }
   fd::HeartbeatFd& failure_detector() { return *fd_; }
+  /// Either stack's ordering front end (flow control, delivery, counters).
+  const adb::Ordering& ordering() const { return *ordering_; }
 
   /// Non-null only for the matching kind (white-box access for tests).
   abcast::ModularAbcast* modular() { return modular_.get(); }
@@ -156,6 +132,7 @@ class AbcastProcess {
   std::unique_ptr<consensus::ChandraTouegConsensus> consensus_;
   std::unique_ptr<abcast::ModularAbcast> modular_;
   std::unique_ptr<monolithic::MonolithicAbcast> monolithic_;
+  adb::Ordering* ordering_ = nullptr;  ///< the chosen stack's front end
 };
 
 }  // namespace modcast::core

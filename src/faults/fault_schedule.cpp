@@ -52,7 +52,8 @@ std::string FaultSchedule::summary() const {
     std::string island;
     for (auto q : p.island) {
       if (!island.empty()) island += "|";
-      island += "p" + std::to_string(q);
+      island += "p";  // not `"p" + ...`: GCC 12 -Wrestrict
+      island += std::to_string(q);
     }
     append("cut {" + island + "} " + ms_str(p.at) + "-" +
            (p.heal > 0 ? ms_str(p.heal) : std::string("forever")));

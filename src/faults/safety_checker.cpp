@@ -5,7 +5,14 @@ namespace modcast::faults {
 namespace {
 
 std::string msg_str(util::ProcessId origin, std::uint64_t seq) {
-  return "(" + std::to_string(origin) + "," + std::to_string(seq) + ")";
+  // Appended piece by piece: GCC 12 misreads a `"(" + ...` chain as an
+  // overlapping copy (-Wrestrict).
+  std::string s = "(";
+  s += std::to_string(origin);
+  s += ",";
+  s += std::to_string(seq);
+  s += ")";
+  return s;
 }
 
 std::string ms_str(util::TimePoint t) {

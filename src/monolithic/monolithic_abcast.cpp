@@ -27,16 +27,15 @@ constexpr std::uint8_t kFlagHasDecision = 0x1;
 constexpr std::uint32_t kRelayTagChannel = 0;
 constexpr std::uint32_t kRelayFullChannel = 1;
 
-std::size_t batch_app_bytes(const std::vector<adb::AppMessage>& batch) {
-  std::size_t bytes = 0;
-  for (const adb::AppMessage& m : batch) bytes += m.payload.size();
-  return bytes;
-}
+/// Coordinator retransmits an unacked proposal after this long (loss
+/// robustness; never fires in good runs over quasi-reliable channels).
+constexpr util::Duration kAckRetransmit = util::milliseconds(400);
 
 }  // namespace
 
 void MonolithicAbcast::init(framework::Stack& stack) {
   stack_ = &stack;
+  ordering_.init(stack.self());
   rounds_.init(stack.group_size(), stack.self(),
                fd_ != nullptr ? &fd_->suspected() : nullptr);
   stack.bind_wire(framework::kModMonolithic,
@@ -72,12 +71,11 @@ bool MonolithicAbcast::is_designated_resender(util::ProcessId origin,
 }
 
 // --------------------------------------------------------------------------
-// Application side / flow control
+// Application side
 // --------------------------------------------------------------------------
 
 std::uint64_t MonolithicAbcast::abcast(util::Bytes payload) {
-  app_queue_.push_back(std::move(payload));
-  const std::uint64_t seq = next_seq_ + app_queue_.size() - 1;
+  const std::uint64_t seq = ordering_.enqueue(std::move(payload));
   admit_queued();
   if (i_am_initial_coordinator()) start_instances();
   recheck_active_estimates();
@@ -85,17 +83,10 @@ std::uint64_t MonolithicAbcast::abcast(util::Bytes payload) {
 }
 
 void MonolithicAbcast::admit_queued() {
-  while (in_flight_ < config_.window && !app_queue_.empty()) {
-    adb::AppMessage m;
-    m.id = adb::MsgId{stack_->self(), next_seq_++};
-    m.payload = std::move(app_queue_.front());
-    app_queue_.pop_front();
-    ++in_flight_;
-    ++stats_.admitted;
-    if (admit_) admit_(m.id.seq);
+  ordering_.admit([this](adb::AppMessage m) {
     own_pending_[m.id] = m.payload;
     route_message(std::move(m));
-  }
+  });
 }
 
 void MonolithicAbcast::route_message(adb::AppMessage m) {
@@ -139,7 +130,7 @@ void MonolithicAbcast::flush_outbox_standalone() {
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
   auto route = [this] {
-    const Instance* inst = rounds_.find(next_decide_);
+    const Instance* inst = rounds_.find(ordering_.next_decide());
     return rounds_.coordinator(inst != nullptr ? inst->round : 1);
   };
   util::ProcessId target = route();
@@ -162,14 +153,13 @@ void MonolithicAbcast::flush_outbox_standalone() {
     return;
   }
   framework::TraceScope scope(*stack_, framework::kNoInstance,
-                              batch_app_bytes(batch));
+                              adb::payload_bytes(batch));
   stack_->send_wire(target, framework::kModMonolithic, w.take());
   ++stats_.forwards_sent;
 }
 
 void MonolithicAbcast::pool_add(adb::AppMessage m) {
-  if (delivered_.seen(m.id.origin, m.id.seq)) return;
-  pool_.add(std::move(m), stack_->rt().now());
+  ordering_.pool_add(std::move(m), stack_->rt().now());
 }
 
 util::Bytes MonolithicAbcast::build_estimate_value() {
@@ -182,9 +172,10 @@ util::Bytes MonolithicAbcast::build_estimate_value() {
     batch.push_back(adb::AppMessage{id, payload});
     added.insert(id);
   }
-  pool_.for_each_live([&](const adb::AppMessage& m) {
+  const std::size_t cap = ordering_.config().max_batch * 2;
+  ordering_.pool().for_each_live([&](const adb::AppMessage& m) {
     if (added.count(m.id) != 0) return;
-    if (batch.size() >= config_.max_batch * 2) return;
+    if (batch.size() >= cap) return;
     batch.push_back(m);
     added.insert(m.id);
   });
@@ -196,25 +187,21 @@ util::Bytes MonolithicAbcast::build_estimate_value() {
 // --------------------------------------------------------------------------
 
 bool MonolithicAbcast::try_start_instance() {
-  if (!i_am_initial_coordinator()) return false;
-  next_start_ = std::max(next_start_, next_decide_);
-  const std::uint64_t k = next_start_;
-  // Pipelining gate: at most pipeline_depth instances undecided at once
-  // (depth 1 = the paper's strictly sequential instances).
-  if (k - next_decide_ >= config_.pipeline_depth) return false;
+  if (!i_am_initial_coordinator() || !ordering_.can_propose()) return false;
+  const std::uint64_t k = ordering_.next_instance();
   if (rounds_.decided(k)) return false;
   if (const Instance* open = rounds_.find(k);
       open != nullptr && (open->proposed(1) || open->round > 1)) {
     return false;  // already started (or recovery in progress)
   }
 
-  if (pool_.eligible() == 0) return false;
+  if (ordering_.pool().eligible() == 0) return false;
   const util::TimePoint now = stack_->rt().now();
-  if (!pool_.ready(now)) {
+  if (!ordering_.pool().ready(now)) {
     arm_batch_timer(now);
     return false;
   }
-  std::vector<adb::AppMessage> batch = pool_.cut(k);
+  std::vector<adb::AppMessage> batch = ordering_.cut();
   if (batch.empty()) return false;
 
   Instance& inst = *rounds_.open(k);
@@ -249,16 +236,12 @@ bool MonolithicAbcast::try_start_instance() {
   w.raw(value);
   util::Payload sent;
   {
-    framework::TraceScope scope(*stack_, k, batch_app_bytes(batch));
+    framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
     sent = stack_->send_wire_to_others(framework::kModMonolithic, w.take());
   }
   // The proposal is a view of the frame sent, so the coordinator, its n−1
   // peers and the decided store share one buffer.
   rounds_.propose(inst, 1, sent.slice(at));
-
-  next_start_ = k + 1;
-  stats_.max_inflight_instances = std::max<std::uint64_t>(
-      stats_.max_inflight_instances, next_start_ - next_decide_);
   arm_retransmit(inst, 1);
   if (rounds_.majority() == 1) {
     // Degenerate tiny group: decide via a zero-delay timer so a decide →
@@ -280,7 +263,7 @@ void MonolithicAbcast::start_instances() {
   // free slot the pool can feed.
   while (try_start_instance()) {
   }
-  if (pool_.eligible() == 0) {
+  if (ordering_.pool().eligible() == 0) {
     // Everything eligible was cut (e.g. a size-triggered proposal beat
     // the δ-timer): a still-armed batch timer would only fire to no-op.
     cancel_batch_timer();
@@ -290,7 +273,7 @@ void MonolithicAbcast::start_instances() {
 void MonolithicAbcast::arm_batch_timer(util::TimePoint now) {
   // δ-time trigger: wake when the oldest eligible message has aged out.
   if (batch_timer_ != runtime::kInvalidTimer) return;
-  const util::TimePoint due = pool_.deadline();
+  const util::TimePoint due = ordering_.pool().deadline();
   const util::Duration wait = due > now ? due - now : 1;
   batch_timer_ = stack_->rt().set_timer(wait, [this] {
     batch_timer_ = runtime::kInvalidTimer;
@@ -310,7 +293,7 @@ void MonolithicAbcast::arm_retransmit(Instance& inst, std::uint32_t round) {
     stack_->rt().cancel_timer(inst.extra.retransmit_timer);
   }
   inst.extra.retransmit_timer = stack_->rt().set_timer(
-      config_.ack_retransmit, [this, k, round] {
+      kAckRetransmit, [this, k, round] {
         Instance* inst = rounds_.find(k);
         if (inst == nullptr) return;
         inst->extra.retransmit_timer = runtime::kInvalidTimer;
@@ -417,7 +400,7 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   w.u32(inst.estimate_ts);
   w.blob(inst.estimate);
   w.raw(adb::encode_batch(piggy));
-  framework::TraceScope scope(*stack_, inst.k, batch_app_bytes(piggy));
+  framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
@@ -521,7 +504,7 @@ void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
   w.u64(inst.k);
   w.u32(round);
   w.raw(adb::encode_batch(piggy));
-  framework::TraceScope scope(*stack_, inst.k, batch_app_bytes(piggy));
+  framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
@@ -592,50 +575,23 @@ void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
   }
   rounds_.decide(k, round, batch);
 
-  ready_decisions_[k] = std::move(batch);
+  ordering_.add_decision(k, std::move(batch));
   apply_ready_decisions();
 }
 
 void MonolithicAbcast::apply_ready_decisions() {
-  while (true) {
-    // Drop stale buffered decisions (late duplicates for applied instances).
-    while (!ready_decisions_.empty() &&
-           ready_decisions_.begin()->first < next_decide_) {
-      ready_decisions_.erase(ready_decisions_.begin());
-    }
-    auto it = ready_decisions_.find(next_decide_);
-    if (it == ready_decisions_.end()) break;
-    std::vector<adb::AppMessage> batch = adb::decode_batch(it->second.span());
-    ready_decisions_.erase(it);
-
-    std::sort(batch.begin(), batch.end(),
-              [](const adb::AppMessage& a, const adb::AppMessage& b) {
-                return a.id < b.id;
-              });
-    for (adb::AppMessage& m : batch) {
-      if (!delivered_.mark(m.id.origin, m.id.seq)) continue;
-      pool_.mark_ordered(m.id);
-      if (m.id.origin == stack_->self()) {
+  stack_->rt().charge_cpu(ordering_.apply_ready(
+      [](const util::Payload& value) {
+        return std::optional(adb::decode_batch(value.span()));
+      },
+      [this](const adb::AppMessage& m) {
+        if (m.id.origin != stack_->self()) return;
         own_pending_.erase(m.id);
-        if (in_flight_ > 0) --in_flight_;
         // Drop it from the outbox too: it is ordered, no need to forward.
-        for (auto ob = outbox_.begin(); ob != outbox_.end();) {
-          ob = (ob->id == m.id) ? outbox_.erase(ob) : std::next(ob);
-        }
-      }
-      ++stats_.delivered;
-      ++stats_.messages_in_decisions;
-      if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
-    }
-    ++stats_.instances_completed;
-    // Clear the in-flight marks only now that the decision is APPLIED: a
-    // decision buffered out of instance order must keep its messages marked,
-    // or they would be re-proposed and the exact §5.2 accounting breaks.
-    pool_.on_decided(next_decide_);
-    ++next_decide_;
-    next_start_ = std::max(next_start_, next_decide_);
-    stack_->rt().charge_cpu(config_.instance_overhead);
-  }
+        std::erase_if(outbox_, [&m](const adb::AppMessage& ob) {
+          return ob.id == m.id;
+        });
+      }));
   admit_queued();
   // Keep making progress when the initial coordinator is gone: without this
   // the next instance would only start at the silence timer, serializing
@@ -644,7 +600,7 @@ void MonolithicAbcast::apply_ready_decisions() {
 }
 
 void MonolithicAbcast::recheck_active_estimates() {
-  Instance* inst = rounds_.find(next_decide_);
+  Instance* inst = rounds_.find(ordering_.next_decide());
   if (inst == nullptr || inst->round <= 1) return;
   const util::ProcessId c = rounds_.coordinator(inst->round);
   if (c == stack_->self()) {
@@ -882,7 +838,7 @@ void MonolithicAbcast::ensure_instance_progress() {
   // processes may hold undelivered messages we know nothing about (§3.3's
   // "starts a consensus even if no message arrives").
   if (!rounds_.suspects(rounds_.coordinator(1))) return;
-  Instance* inst = rounds_.open(next_decide_);
+  Instance* inst = rounds_.open(ordering_.next_decide());
   if (inst == nullptr) return;
   // Nack round 1 in case the suspected coordinator is actually alive and
   // already proposed (or will): it must not wait for our ack.
@@ -893,10 +849,11 @@ void MonolithicAbcast::ensure_instance_progress() {
 }
 
 void MonolithicAbcast::arm_liveness_timer() {
+  const util::Duration timeout = ordering_.config().liveness_timeout;
   // lifecheck:allow(timer.lost): periodic liveness tick re-arms itself for the whole process lifetime, never cancelled by design
-  stack_->rt().set_timer(config_.liveness_timeout, [this] {
+  stack_->rt().set_timer(timeout, [this, timeout] {
     const util::TimePoint now = stack_->rt().now();
-    if (now - last_activity_ >= config_.liveness_timeout) {
+    if (now - last_activity_ >= timeout) {
       // Silence: re-forward undelivered own messages and join whatever
       // instance should be making progress (even with nothing of our own —
       // another process may be stuck waiting for majority participation).

@@ -30,12 +30,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
 
-#include "adb/batcher.hpp"
+#include "adb/ordering.hpp"
 #include "adb/types.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "framework/stack.hpp"
@@ -45,33 +44,13 @@
 namespace modcast::monolithic {
 
 struct MonolithicConfig {
-  /// Per-process flow-control window W (same as the modular stack).
-  std::size_t window = 2;
-  /// Maximum messages per proposal (the paper's M).
-  std::size_t max_batch = 4;
-  /// Payload-byte cap/trigger for a proposal batch; 0 disables.
-  std::size_t batch_bytes = 0;
-  /// δ-time aggregation window before a non-full batch is proposed.
-  /// 0 = propose eagerly (the paper's behavior).
-  util::Duration batch_delay = 0;
-  /// Consensus instances that may be undecided at once (k-deep
-  /// pipelining). 1 = strictly sequential instances (the paper's behavior).
-  std::size_t pipeline_depth = 1;
   /// Aggregation delay before an idle process sends a standalone FORWARD to
   /// the coordinator (lets a burst of abcasts share one message).
   util::Duration forward_flush_delay = util::microseconds(200);
-  /// Coordinator retransmits an unacked proposal after this long (loss
-  /// robustness; never fires in good runs over quasi-reliable channels).
-  util::Duration ack_retransmit = util::milliseconds(400);
-  /// §3.3-equivalent silence timer.
-  util::Duration liveness_timeout = util::milliseconds(500);
   /// Retry period for decision pulls.
   util::Duration pull_retry = util::milliseconds(100);
   /// Decided instances retained for answering pulls.
   std::uint64_t decision_retention = 512;
-  /// Fixed CPU cost per completed consensus instance at every process (see
-  /// abcast::AbcastConfig::instance_overhead; identical in both stacks).
-  util::Duration instance_overhead = util::microseconds(2500);
 
   // Ablation toggles (paper sections 4.1, 4.2, 4.3). All on = the paper's
   // monolithic stack; all off ≈ the modular algorithm in one module.
@@ -81,10 +60,6 @@ struct MonolithicConfig {
 };
 
 struct MonolithicStats {
-  std::uint64_t delivered = 0;
-  std::uint64_t instances_completed = 0;
-  std::uint64_t messages_in_decisions = 0;
-  std::uint64_t admitted = 0;
   std::uint64_t combined_sent = 0;       ///< proposals that carried a decision
   std::uint64_t standalone_tags = 0;     ///< decisions that went out alone
   std::uint64_t forwards_sent = 0;       ///< standalone forwards to the coord
@@ -93,24 +68,17 @@ struct MonolithicStats {
   std::uint32_t max_round = 0;
   std::uint64_t late_decisions = 0;  ///< instances decided in a round >= 2
   std::uint64_t pulls_sent = 0;
-  std::uint64_t max_inflight_instances = 0;  ///< pipelining high-water mark
 };
 
 class MonolithicAbcast final : public framework::Module {
  public:
-  using DeliverFn = std::function<void(util::ProcessId, std::uint64_t,
-                                       const util::Bytes&)>;
-  using AdmitFn = std::function<void(std::uint64_t)>;
-
-  explicit MonolithicAbcast(MonolithicConfig config = {},
+  explicit MonolithicAbcast(adb::OrderingConfig ordering = {},
+                            MonolithicConfig config = {},
                             const fd::HeartbeatFd* fd = nullptr)
       : config_(config),
         fd_(fd),
-        pool_(adb::BatchPolicy{config.max_batch, config.batch_bytes,
-                               config.batch_delay}),
-        rounds_(config.decision_retention) {
-    if (config_.pipeline_depth == 0) config_.pipeline_depth = 1;
-  }
+        ordering_(ordering),
+        rounds_(config.decision_retention) {}
 
   std::string_view name() const override { return "monolithic-abcast"; }
   void init(framework::Stack& stack) override;
@@ -120,14 +88,9 @@ class MonolithicAbcast final : public framework::Module {
   /// the assigned sequence number.
   std::uint64_t abcast(util::Bytes payload);
 
-  void set_deliver_handler(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_admit_handler(AdmitFn fn) { admit_ = std::move(fn); }
-
+  /// Flow control, delivery handlers and the shared counters.
+  adb::Ordering& ordering() { return ordering_; }
   const MonolithicStats& stats() const { return stats_; }
-  std::size_t queued() const { return app_queue_.size(); }
-  std::size_t in_flight() const { return in_flight_; }
-  std::uint64_t next_decide() const { return next_decide_; }
-  std::size_t pool_size() const { return pool_.live(); }
   /// The round engine: coordinators, quorum, decided store.
   const auto& rounds() const { return rounds_; }
 
@@ -143,7 +106,7 @@ class MonolithicAbcast final : public framework::Module {
   // --- identity helpers ---
   bool i_am_initial_coordinator() const;
 
-  // --- application / flow control ---
+  // --- application side ---
   void admit_queued();
   void route_message(adb::AppMessage m);
   void flush_outbox_standalone();
@@ -203,33 +166,22 @@ class MonolithicAbcast final : public framework::Module {
   MonolithicConfig config_;
   const fd::HeartbeatFd* fd_;
   framework::Stack* stack_ = nullptr;
-  DeliverFn deliver_;
-  AdmitFn admit_;
 
-  // Application side.
-  std::uint64_t next_seq_ = 0;
-  std::size_t in_flight_ = 0;
-  std::deque<util::Bytes> app_queue_;
+  // Application side. The front end's pool holds what this process orders:
+  // as coordinator, the messages forwarded to it; with opt_piggyback off,
+  // every diffused message, like the modular stack.
+  adb::Ordering ordering_;
   std::map<adb::MsgId, util::Bytes> own_pending_;  ///< admitted, undelivered
   std::deque<adb::AppMessage> outbox_;  ///< not yet sent to coordinator
   runtime::TimerId flush_timer_ = runtime::kInvalidTimer;
-
-  // Ordering pool (coordinator: messages to order; with opt_piggyback off,
-  // every process pools every diffused message, like the modular stack).
-  adb::Batcher pool_;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger
-  util::SeqTracker delivered_;
 
   // Instance bookkeeping: the round engine shared with the modular stack.
   rounds::RoundEngine<Pending> rounds_;
-  std::uint64_t next_decide_ = 0;
-  std::uint64_t next_start_ = 0;  ///< coordinator: next instance to propose
   /// §4.1 combine, pipelined: decisions reached but not yet shipped in a
   /// COMBINED proposal. Each new proposal pops the front as its ride-along
   /// tag; leftovers are flushed as standalone tags.
   std::deque<std::uint64_t> untagged_decisions_;
-  /// Decided values awaiting application: views shared with rounds_.
-  std::map<std::uint64_t, util::Payload> ready_decisions_;
   util::SeqTracker relayed_decisions_;  ///< dedup for fallback relaying
 
   util::TimePoint last_activity_ = 0;

@@ -94,7 +94,7 @@ void ReliableBcast::relay(const util::Payload& encoded) {
 void ReliableBcast::remember(util::ProcessId origin, std::uint64_t seq,
                              util::Payload payload, bool relayed) {
   recent_.push_back(Recent{origin, seq, std::move(payload), relayed});
-  while (recent_.size() > config_.relay_buffer) recent_.pop_front();
+  while (recent_.size() > kRelayBuffer) recent_.pop_front();
 }
 
 void ReliableBcast::on_suspect(util::ProcessId q) {

@@ -27,17 +27,10 @@
 
 namespace modcast::rbcast {
 
-struct RbcastConfig {
-  /// How many recent messages are retained for suspicion-triggered re-relay.
-  std::size_t relay_buffer = 256;
-};
-
 class ReliableBcast final : public framework::Module {
  public:
   /// `fd` may be null (no suspicion fallback — unit tests of good runs).
-  explicit ReliableBcast(RbcastConfig config = {},
-                         const fd::HeartbeatFd* fd = nullptr)
-      : config_(config), fd_(fd) {}
+  explicit ReliableBcast(const fd::HeartbeatFd* fd = nullptr) : fd_(fd) {}
 
   std::string_view name() const override { return "reliable-bcast"; }
   void init(framework::Stack& stack) override;
@@ -74,7 +67,9 @@ class ReliableBcast final : public framework::Module {
   void remember(util::ProcessId origin, std::uint64_t seq,
                 util::Payload payload, bool relayed);
 
-  RbcastConfig config_;
+  /// How many recent messages are retained for suspicion-triggered re-relay.
+  static constexpr std::size_t kRelayBuffer = 256;
+
   const fd::HeartbeatFd* fd_;
   framework::Stack* stack_ = nullptr;
   std::uint64_t next_seq_ = 0;

@@ -26,14 +26,22 @@ inline std::string string_of(const util::Bytes& b) {
   return std::string(b.begin(), b.end());
 }
 
+/// Concatenates by appending each part in turn: GCC 12 misreads a
+/// `"v" + std::to_string(k)` chain as an overlapping copy (-Wrestrict).
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  ((out += parts), ...);
+  return out;
+}
+
 /// One process running FD + RBcast (+ optionally Consensus).
 struct Node {
   explicit Node(runtime::Runtime& rt, fd::FdConfig fdc = {},
-                rbcast::RbcastConfig rbc = {},
                 consensus::ConsensusConfig cc = {},
                 bool with_consensus = true,
                 util::Duration crossing_cost = 0)
-      : stack(rt, crossing_cost), fd(fdc), rb(rbc, &fd), cons(cc, &fd) {
+      : stack(rt, crossing_cost), fd(fdc), rb(&fd), cons(cc, &fd) {
     stack.add(fd);
     stack.add(rb);
     if (with_consensus) stack.add(cons);
@@ -72,7 +80,7 @@ struct Node {
 class NodeHarness {
  public:
   explicit NodeHarness(std::size_t n, std::uint64_t seed = 1,
-                       fd::FdConfig fdc = {}, rbcast::RbcastConfig rbc = {},
+                       fd::FdConfig fdc = {},
                        consensus::ConsensusConfig cc = {},
                        bool with_consensus = true) {
     runtime::SimWorldConfig wc;
@@ -80,8 +88,8 @@ class NodeHarness {
     wc.seed = seed;
     world_ = std::make_unique<runtime::SimWorld>(wc);
     for (util::ProcessId p = 0; p < n; ++p) {
-      nodes_.push_back(std::make_unique<Node>(world_->runtime(p), fdc, rbc,
-                                              cc, with_consensus));
+      nodes_.push_back(std::make_unique<Node>(world_->runtime(p), fdc, cc,
+                                              with_consensus));
       nodes_.back()->record_all();
       world_->attach(p, &nodes_.back()->stack);
     }

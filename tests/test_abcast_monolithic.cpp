@@ -149,6 +149,26 @@ TEST(MonolithicZeroCopy, AllProcessesShareOneDecidedBuffer) {
   EXPECT_EQ(decided(1)->value, decided(0)->value);
 }
 
+// StackOptions::consensus reaches the monolithic stack's round engine as it
+// reaches the modular stack's consensus module: a decision retention of 8
+// keeps only the latest decided values.
+TEST(MonolithicOptions, ConsensusDecisionRetentionBoundsTheDecidedStore) {
+  core::SimGroupConfig cfg = mono_config(3);
+  cfg.stack.consensus.decision_retention = 8;
+  core::SimGroup group(cfg);
+  group.start();
+  feed(group, 1, 30, milliseconds(1), milliseconds(10));
+  group.run_until(seconds(2));
+  const std::uint64_t decided =
+      group.process(0).stats().instances_completed;
+  ASSERT_GE(decided, 20u);
+  for (util::ProcessId p = 0; p < 3; ++p) {
+    const auto& rounds = group.process(p).monolithic()->rounds();
+    EXPECT_EQ(rounds.decision(0), nullptr) << "process " << p;
+    EXPECT_NE(rounds.decision(decided - 1), nullptr) << "process " << p;
+  }
+}
+
 TEST(MonolithicCrash, NonCoordinatorCrashDoesNotBlockOthers) {
   core::SimGroup group(mono_config(3));
   group.start();

@@ -11,6 +11,7 @@ namespace modcast::consensus {
 namespace {
 
 using test::bytes_of;
+using test::concat;
 using test::NodeHarness;
 using test::string_of;
 using util::milliseconds;
@@ -56,8 +57,8 @@ TEST_P(ConsensusGoodRun, AllDecideCoordinatorValue) {
   h.start();
   std::set<std::string> proposed;
   for (util::ProcessId p = 0; p < n; ++p) {
-    proposed.insert("v" + std::to_string(p));
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    proposed.insert(concat("v", std::to_string(p)));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   h.run_until(seconds(1));
   // In a good run with the optimized algorithm, the round-1 coordinator's
@@ -77,14 +78,14 @@ TEST_P(ConsensusGoodRun, SequentialInstancesAllDecide) {
   for (std::uint64_t k = 0; k < kInstances; ++k) {
     for (util::ProcessId p = 0; p < n; ++p) {
       h.propose_at(milliseconds(5 + 10 * static_cast<std::int64_t>(k)), p, k,
-                   "k" + std::to_string(k) + "p" + std::to_string(p));
+                   concat("k", std::to_string(k), "p", std::to_string(p)));
     }
   }
   h.run_until(seconds(2));
   for (std::uint64_t k = 0; k < kInstances; ++k) {
     std::set<std::string> proposed;
     for (util::ProcessId p = 0; p < n; ++p) {
-      proposed.insert("k" + std::to_string(k) + "p" + std::to_string(p));
+      proposed.insert(concat("k", std::to_string(k), "p", std::to_string(p)));
     }
     assert_decided_same(h, k, proposed);
   }
@@ -137,7 +138,7 @@ TEST(ConsensusCrash, CoordinatorCrashBeforeProposalDecidesInLaterRound) {
   h.start();
   h.world().crash_at(0, milliseconds(1));  // p0 = round-1 coordinator
   for (util::ProcessId p = 1; p < 3; ++p) {
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   h.run_until(seconds(2));
   // Either survivor's estimate may win (both carry timestamp 0; the round-2
@@ -151,7 +152,7 @@ TEST(ConsensusCrash, CoordinatorCrashAfterProposalStillDecidesConsistently) {
   NodeHarness h(5, 2, fast_fd());
   h.start();
   for (util::ProcessId p = 0; p < 5; ++p) {
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   // Crash the coordinator moments after it proposed; acks may or may not
   // have arrived, the decision may or may not have been broadcast.
@@ -167,7 +168,7 @@ TEST(ConsensusCrash, MinoritySurvivesMaximalFaults) {
   NodeHarness h(7, 3, fast_fd());
   h.start();
   for (util::ProcessId p = 0; p < 7; ++p) {
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   h.world().crash_at(0, milliseconds(6));
   h.world().crash_at(1, milliseconds(150));
@@ -185,7 +186,7 @@ TEST(ConsensusSuspicion, FalseSuspicionIsSafe) {
     h.node(1).fd.force_suspect(0);
   });
   for (util::ProcessId p = 0; p < 3; ++p) {
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   h.run_until(seconds(2));
   assert_decided_same(h, 0, {"v0", "v1", "v2"});
@@ -198,7 +199,7 @@ TEST(ConsensusSuspicion, EveryoneWronglySuspectsCoordinator) {
     for (util::ProcessId p = 1; p < 5; ++p) h.node(p).fd.force_suspect(0);
   });
   for (util::ProcessId p = 0; p < 5; ++p) {
-    h.propose_at(milliseconds(5), p, 0, "v" + std::to_string(p));
+    h.propose_at(milliseconds(5), p, 0, concat("v", std::to_string(p)));
   }
   h.run_until(seconds(3));
   assert_decided_same(h, 0, {"v0", "v1", "v2", "v3", "v4"});
@@ -209,7 +210,7 @@ TEST(ConsensusLiveness, NudgeLetsValuelessCoordinatorPropose) {
   // re-introduces the estimate phase and the instance still decides.
   ConsensusConfig cc;
   cc.proposal_nudge_timeout = milliseconds(50);
-  NodeHarness h(3, 1, fast_fd(), {}, cc);
+  NodeHarness h(3, 1, fast_fd(), cc);
   h.start();
   h.propose_at(milliseconds(5), 1, 0, "only-one");
   h.run_until(seconds(2));

@@ -304,10 +304,13 @@ TEST(Costcheck, RealTreeMatchesAnalyticalModel) {
 
   // The match is not vacuous: every phase with a nonzero count is backed
   // by at least one real send site.
-  for (const auto& sc : cost.stacks)
-    for (const auto& pc : sc.phases)
-      if (pc.count != "0")
+  for (const auto& sc : cost.stacks) {
+    for (const auto& pc : sc.phases) {
+      if (pc.count != "0") {
         EXPECT_FALSE(pc.sites.empty()) << sc.name << "/" << pc.name;
+      }
+    }
+  }
 }
 
 TEST(Costcheck, SharedTreeMatchesIndependentRuns) {

@@ -9,6 +9,7 @@ namespace modcast {
 namespace {
 
 using test::bytes_of;
+using test::concat;
 using test::NodeHarness;
 using test::string_of;
 using util::milliseconds;
@@ -76,13 +77,13 @@ TEST(ConsensusValidator, PassingValidatorIsTransparent) {
 TEST(ConsensusRetention, OldDecisionsArePruned) {
   consensus::ConsensusConfig cc;
   cc.decision_retention = 8;
-  NodeHarness h(3, 1, fast_fd(), {}, cc);
+  NodeHarness h(3, 1, fast_fd(), cc);
   h.start();
   constexpr std::uint64_t kInstances = 30;
   for (std::uint64_t k = 0; k < kInstances; ++k) {
     for (util::ProcessId p = 0; p < 3; ++p) {
       h.propose_at(milliseconds(5 + 5 * static_cast<std::int64_t>(k)), p, k,
-                   "v" + std::to_string(k));
+                   concat("v", std::to_string(k)));
     }
   }
   h.run_until(seconds(2));
@@ -100,7 +101,7 @@ TEST(ConsensusRetention, OldDecisionsArePruned) {
 TEST(ConsensusRetention, DroppedDecisionIsNotDecidedAgain) {
   consensus::ConsensusConfig cc;
   cc.decision_retention = 8;
-  NodeHarness h(3, 1, {}, {}, cc);
+  NodeHarness h(3, 1, {}, cc);
   std::map<std::uint64_t, std::vector<std::string>> decides[3];
   for (util::ProcessId p = 0; p < 3; ++p) {
     h.node(p).stack.bind(framework::kEvDecide,
@@ -123,7 +124,7 @@ TEST(ConsensusRetention, DroppedDecisionIsNotDecidedAgain) {
   for (std::uint64_t k = 0; k < kInstances; ++k) {
     for (util::ProcessId p = 0; p < 2; ++p) {
       h.propose_at(milliseconds(5 + 5 * static_cast<std::int64_t>(k)), p, k,
-                   "v" + std::to_string(k));
+                   concat("v", std::to_string(k)));
     }
   }
   h.propose_at(milliseconds(5), 2, 0, "late");
@@ -136,7 +137,7 @@ TEST(ConsensusRetention, DroppedDecisionIsNotDecidedAgain) {
   for (util::ProcessId p = 0; p < 3; ++p) {
     for (const auto& [k, values] : decides[p]) {
       EXPECT_EQ(values.size(), 1u) << "process " << p << " instance " << k;
-      EXPECT_EQ(values.front(), "v" + std::to_string(k))
+      EXPECT_EQ(values.front(), concat("v", std::to_string(k)))
           << "process " << p << " instance " << k;
     }
   }

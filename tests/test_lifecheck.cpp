@@ -245,8 +245,11 @@ TEST(Lifecheck, RealTreeHasNoUnsuppressedViolations) {
       << "src/ must satisfy its own lifecycle manifest";
   EXPECT_GT(r.files_scanned, 50u);
   EXPECT_GE(r.suppressions(), 4u);
-  for (const auto& d : r.diagnostics)
-    if (d.suppressed) EXPECT_FALSE(d.justification.empty());
+  for (const auto& d : r.diagnostics) {
+    if (d.suppressed) {
+      EXPECT_FALSE(d.justification.empty());
+    }
+  }
   // The real protocol graph is fully reachable and non-trivial.
   EXPECT_TRUE(analyzer::unreachable_channels(flow).empty());
   EXPECT_GE(flow.modules.size(), 4u);

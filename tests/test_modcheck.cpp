@@ -5,11 +5,9 @@
 // validation (unknown dep, cycle).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "modcheck.hpp"
 
@@ -26,14 +24,6 @@ fs::path fixture(const std::string& name) {
 Report run_fixture(const std::string& name) {
   auto m = modcheck::load_manifest(fixture(name) / "layers.toml");
   return modcheck::analyze(fixture(name) / "src", m);
-}
-
-std::vector<std::string> rules_of(const Report& r, bool suppressed) {
-  std::vector<std::string> out;
-  for (const Diagnostic& d : r.diagnostics)
-    if (d.suppressed == suppressed) out.push_back(d.rule);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::size_t count_rule(const Report& r, const std::string& rule,
@@ -77,8 +67,11 @@ TEST(ModcheckFixtures, JustifiedSuppressionsHonored) {
   EXPECT_EQ(r.violations(), 0u) << modcheck::to_json(r, "suppressed");
   EXPECT_EQ(count_rule(r, "det.rand", /*suppressed=*/true), 1u);
   EXPECT_EQ(count_rule(r, "det.unordered-iter", /*suppressed=*/true), 1u);
-  for (const Diagnostic& d : r.diagnostics)
-    if (d.suppressed) EXPECT_FALSE(d.justification.empty());
+  for (const Diagnostic& d : r.diagnostics) {
+    if (d.suppressed) {
+      EXPECT_FALSE(d.justification.empty());
+    }
+  }
 }
 
 TEST(ModcheckFixtures, MissingJustificationRejected) {

@@ -158,11 +158,8 @@ TEST_P(PipelineProperty, OrderedReleaseUnderOutOfOrderDecisions) {
   // never exceed its configured depth.
   std::uint64_t max_inflight = 0;
   for (util::ProcessId p = 0; p < sc.n; ++p) {
-    auto& proc = group.process(p);
     const std::uint64_t seen =
-        sc.kind == StackKind::kModular
-            ? proc.modular()->stats().max_inflight_instances
-            : proc.monolithic()->stats().max_inflight_instances;
+        group.process(p).ordering().stats().max_inflight_instances;
     max_inflight = std::max(max_inflight, seen);
     EXPECT_LE(seen, sc.depth) << "process " << p << " exceeded the gate";
   }

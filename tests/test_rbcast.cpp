@@ -10,6 +10,7 @@ namespace modcast::rbcast {
 namespace {
 
 using test::bytes_of;
+using test::concat;
 using test::NodeHarness;
 using test::string_of;
 using util::milliseconds;
@@ -50,7 +51,7 @@ TEST(RbcastDelivery, ManyConcurrentBroadcastsAllDeliveredOnce) {
   for (util::ProcessId p = 0; p < 4; ++p) {
     for (int i = 0; i < kPerProcess; ++i) {
       h.rbcast_at(milliseconds(1 + i), p,
-                  "m" + std::to_string(p) + "-" + std::to_string(i));
+                  concat("m", std::to_string(p), "-", std::to_string(i)));
     }
   }
   h.run_until(seconds(2));

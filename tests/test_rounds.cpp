@@ -165,7 +165,9 @@ TEST(RoundEngine, NoInstanceOpensBelowWatermark) {
   RoundEngine<> engine(2);
   engine.init(3, 0, nullptr);
   for (std::uint64_t k = 0; k < 5; ++k) {
-    engine.decide(k, 1, bytes_of("v" + std::to_string(k)));
+    std::string value = "v";
+    value += std::to_string(k);  // not `"v" + ...`: GCC 12 -Wrestrict
+    engine.decide(k, 1, bytes_of(value));
   }
   EXPECT_EQ(engine.watermark(), 5u);
   // Retention kept the last two values; the rest are decided, valueless.
