@@ -70,5 +70,40 @@ TEST(SeqTracker, UnknownOriginNeverSeen) {
   EXPECT_EQ(t.watermark(42), 0u);
 }
 
+TEST(SeqTracker, InOrderMarksAdvanceTheWatermark) {
+  SeqTracker t;
+  for (std::uint64_t s = 0; s < 5; ++s) {
+    EXPECT_TRUE(t.mark(2, s));
+    EXPECT_EQ(t.watermark(2), s + 1);
+    EXPECT_TRUE(t.seen(2, s));
+    EXPECT_FALSE(t.seen(2, s + 1));
+  }
+}
+
+TEST(SeqTracker, GapThenItsFillDrainsTheSparseIds) {
+  SeqTracker t;
+  EXPECT_TRUE(t.mark(0, 0));
+  EXPECT_TRUE(t.mark(0, 2));  // gap at 1
+  EXPECT_TRUE(t.mark(0, 3));
+  EXPECT_EQ(t.watermark(0), 1u);
+  EXPECT_FALSE(t.seen(0, 1));
+  EXPECT_TRUE(t.mark(0, 1));  // the fill is next in order
+  EXPECT_EQ(t.watermark(0), 4u);
+  EXPECT_TRUE(t.mark(0, 4));
+  EXPECT_EQ(t.watermark(0), 5u);
+}
+
+TEST(SeqTracker, DuplicateAfterInOrderMarkIsRefused) {
+  SeqTracker t;
+  EXPECT_TRUE(t.mark(4, 0));
+  EXPECT_TRUE(t.mark(4, 1));
+  EXPECT_FALSE(t.mark(4, 1));
+  EXPECT_FALSE(t.mark(4, 0));
+  EXPECT_EQ(t.watermark(4), 2u);
+  EXPECT_TRUE(t.mark(4, 3));
+  EXPECT_FALSE(t.mark(4, 3));  // sparse duplicate
+  EXPECT_EQ(t.watermark(4), 2u);
+}
+
 }  // namespace
 }  // namespace modcast::util
