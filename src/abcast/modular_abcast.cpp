@@ -38,8 +38,7 @@ void ModularAbcast::on_propose_request(std::uint64_t k) {
   // consensus even if no message arrives", §3.3). In-flight messages are
   // included: a recovery proposal must cover everything we hold, and
   // duplicates across instances are filtered at delivery.
-  std::vector<AppMessage> batch =
-      ordering_.pool().peek(ordering_.config().max_batch);
+  const BatchView batch = ordering_.pool().peek(ordering_.config().max_batch);
   ordering_.proposed(k);
   framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
   stack_->raise(framework::Event::local(
@@ -86,7 +85,7 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
   const std::uint8_t kind = r.u8();
   switch (kind) {
     case kDiffuse: {
-      AppMessage m = decode_message(r);
+      AppMessage m = decode_message(msg, r);
       if (config_.indirect_consensus) {
         store_payload(m);
         on_new_payloads();
@@ -105,16 +104,15 @@ void ModularAbcast::on_wire(util::ProcessId from, util::Payload msg) {
         }
       }
       if (!have.empty()) {
-        util::ByteWriter w;
+        util::ByteWriter w(1 + adb::encoded_batch_size(have));
         w.u8(kPayloadPush);
-        w.raw(encode_batch(have));
+        encode_batch(w, have);
         stack_->send_wire(from, framework::kModAbcast, w.take());
       }
       break;
     }
     case kPayloadPush: {
-      const std::span<const std::uint8_t> pushed = r.rest();
-      for (AppMessage& m : decode_batch(pushed)) {
+      for (AppMessage& m : decode_batch(msg, r)) {
         store_payload(m);
         // A pushed payload is also a (re)diffusion: pool it if unseen.
         add_pending(std::move(m));
@@ -141,7 +139,7 @@ void ModularAbcast::maybe_propose() {
       return;
     }
     const std::uint64_t k = ordering_.next_instance();
-    std::vector<AppMessage> batch = ordering_.cut();
+    const BatchView batch = ordering_.cut();
     if (batch.empty()) return;
 
     // Synchronous raise: the scope also covers the consensus module's
@@ -170,9 +168,12 @@ void ModularAbcast::cancel_batch_timer() {
   batch_timer_ = runtime::kInvalidTimer;
 }
 
-util::Bytes ModularAbcast::encode_value(
-    const std::vector<AppMessage>& batch) const {
-  if (!config_.indirect_consensus) return encode_batch(batch);
+util::Bytes ModularAbcast::encode_value(BatchView batch) const {
+  if (!config_.indirect_consensus) {
+    util::ByteWriter w(adb::encoded_batch_size(batch));
+    encode_batch(w, batch);
+    return w.take();
+  }
   std::vector<MsgId> ids;
   ids.reserve(batch.size());
   for (const AppMessage& m : batch) ids.push_back(m.id);
@@ -186,20 +187,25 @@ void ModularAbcast::on_decide(std::uint64_t k, const util::Payload& value) {
 
 void ModularAbcast::apply_ready_decisions() {
   stack_->rt().charge_cpu(ordering_.apply_ready(
-      [this](const util::Payload& value) { return decode_decision(value); },
-      [this](const AppMessage& m) {
+      [this](const util::Payload& value, std::vector<MessageView>& batch) {
+        return decode_decision(value, batch);
+      },
+      [this](const MessageView& m) {
         if (config_.indirect_consensus) retain_delivered(m.id);
       }));
   admit_queued();
   maybe_propose();
 }
 
-std::optional<std::vector<AppMessage>> ModularAbcast::decode_decision(
-    const util::Payload& value) {
-  if (!config_.indirect_consensus) return decode_batch(value.span());
-  // Resolve ids to payloads; block (and pull) if any is missing. The
-  // decision stays buffered so ordering is preserved.
-  std::vector<AppMessage> batch;
+bool ModularAbcast::decode_decision(const util::Payload& value,
+                                    std::vector<MessageView>& batch) {
+  if (!config_.indirect_consensus) {
+    decode_batch(value.span(), batch);
+    return true;
+  }
+  // Resolve ids to the payloads we hold; block (and pull) if any is
+  // missing. The decision stays buffered so ordering is preserved.
+  batch.clear();
   std::vector<MsgId> missing;
   for (const MsgId& id : decode_id_batch(value.span())) {
     if (ordering_.delivered(id)) continue;  // dup across k
@@ -207,13 +213,13 @@ std::optional<std::vector<AppMessage>> ModularAbcast::decode_decision(
     if (pit == payload_store_.end()) {
       missing.push_back(id);
     } else {
-      batch.push_back(AppMessage{id, pit->second});
+      batch.push_back(MessageView{id, pit->second.span()});
     }
   }
-  if (missing.empty()) return batch;
+  if (missing.empty()) return true;
   request_payloads(missing);
   arm_payload_timer();
-  return std::nullopt;
+  return false;
 }
 
 // ---------------------------------------------------------------------------

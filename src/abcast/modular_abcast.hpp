@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "adb/ordering.hpp"
@@ -37,13 +36,14 @@ namespace modcast::abcast {
 // The ADB service types are this module's vocabulary; import them so the
 // protocol logic reads in terms of the service it implements.
 using adb::AppMessage;
+using adb::BatchView;
 using adb::decode_batch;
 using adb::decode_id_batch;
 using adb::decode_message;
 using adb::encode_batch;
 using adb::encode_id_batch;
 using adb::encode_message;
-using adb::encoded_size;
+using adb::MessageView;
 using adb::MsgId;
 
 struct AbcastConfig {
@@ -96,13 +96,13 @@ class ModularAbcast final : public framework::Module {
   void arm_batch_timer(util::TimePoint now);
   void cancel_batch_timer();
   void apply_ready_decisions();
-  std::optional<std::vector<AppMessage>> decode_decision(
-      const util::Payload& value);
+  bool decode_decision(const util::Payload& value,
+                       std::vector<MessageView>& batch);
   void diffuse(const AppMessage& m);
   void arm_liveness_timer();
 
   // --- indirect-consensus support ---
-  util::Bytes encode_value(const std::vector<AppMessage>& batch) const;
+  util::Bytes encode_value(BatchView batch) const;
   bool payload_available(const MsgId& id) const;
   void store_payload(const AppMessage& m);
   void request_payloads(const std::vector<MsgId>& missing);
@@ -120,7 +120,7 @@ class ModularAbcast final : public framework::Module {
   AbcastStats stats_;
 
   // Indirect-consensus state (unused when indirect_consensus is off).
-  std::map<MsgId, util::Bytes> payload_store_;
+  std::map<MsgId, util::Payload> payload_store_;  ///< views of their frames
   std::deque<MsgId> retained_order_;  ///< delivered payloads, eviction FIFO
   std::set<std::uint64_t> waiting_validation_;  ///< instances deferred
   runtime::TimerId payload_timer_ = runtime::kInvalidTimer;

@@ -1,19 +1,46 @@
 #include "adb/batcher.hpp"
 
+#include <algorithm>
+
 namespace modcast::adb {
 
+Batcher::Entry* Batcher::find(const MsgId& id) {
+  const std::uint64_t at = at_.find(id.origin, id.seq);
+  return at == util::SeqIndex::kNone ? nullptr : &fifo_[at - popped_];
+}
+
+const Batcher::Entry* Batcher::find(const MsgId& id) const {
+  const std::uint64_t at = at_.find(id.origin, id.seq);
+  return at == util::SeqIndex::kNone ? nullptr : &fifo_[at - popped_];
+}
+
 bool Batcher::add(AppMessage m, util::TimePoint now) {
-  if (!ids_.insert(m.id).second) return false;
-  fifo_.push_back(Entry{std::move(m), now});
+  if (find(m.id) != nullptr) return false;
+  at_.insert(m.id.origin, m.id.seq, popped_ + fifo_.size());
+  fifo_.push_back(Entry{std::move(m), now, 0, State::kLive});
+  ++live_;
+  ++eligible_;
   return true;
 }
 
-std::size_t Batcher::eligible() const {
-  std::size_t live_proposed = 0;
-  for (const MsgId& id : proposed_) {
-    if (ids_.count(id) != 0) ++live_proposed;
+void Batcher::mark_ordered(const MsgId& id) {
+  Entry* e = find(id);
+  if (e == nullptr || e->state == State::kOrdered) return;
+  if (e->state == State::kLive) --eligible_;
+  --live_;
+  e->state = State::kOrdered;
+  e->msg.payload = {};
+  while (!fifo_.empty() && fifo_.front().state == State::kOrdered) {
+    const MsgId gone = fifo_.front().msg.id;
+    at_.erase(gone.origin, gone.seq);
+    fifo_.pop_front();
+    ++popped_;
   }
-  return ids_.size() - live_proposed;
+}
+
+bool Batcher::contains(const MsgId& id) const {
+  const Entry* e = find(id);
+  return e != nullptr && e->state != State::kOrdered;
 }
 
 bool Batcher::ready(util::TimePoint now) const {
@@ -21,13 +48,14 @@ bool Batcher::ready(util::TimePoint now) const {
   std::size_t bytes = 0;
   bool have_oldest = false;
   util::TimePoint oldest = 0;
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0 || in_flight(e.msg.id)) continue;
+  for (std::size_t i = 0; i < fifo_.size(); ++i) {
+    const Entry& e = fifo_[i];
+    if (e.state != State::kLive) continue;
     if (!have_oldest) {
       have_oldest = true;
       oldest = e.added_at;
     }
-    if (policy_.max_delay == 0) return true;  // eager (legacy) mode
+    if (policy_.max_delay == 0) return true;  // eager mode
     ++count;
     bytes += e.msg.payload.size();
     if (count >= policy_.max_count) return true;
@@ -38,57 +66,55 @@ bool Batcher::ready(util::TimePoint now) const {
 }
 
 util::TimePoint Batcher::deadline() const {
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0 || in_flight(e.msg.id)) continue;
-    return e.added_at + policy_.max_delay;
+  for (std::size_t i = 0; i < fifo_.size(); ++i) {
+    if (fifo_[i].state == State::kLive) {
+      return fifo_[i].added_at + policy_.max_delay;
+    }
   }
   return 0;
 }
 
-std::vector<AppMessage> Batcher::cut(std::uint64_t k) {
-  std::vector<AppMessage> batch;
+BatchView Batcher::cut(std::uint64_t k) {
+  batch_.clear();
   std::size_t batch_bytes = 0;
-  std::deque<Entry> keep;
-  while (!fifo_.empty()) {
-    Entry& e = fifo_.front();
-    if (ids_.count(e.msg.id) != 0) {
-      const bool room =
-          batch.size() < policy_.max_count &&
-          (policy_.max_bytes == 0 || batch_bytes < policy_.max_bytes);
-      if (room && !in_flight(e.msg.id)) {
-        batch.push_back(e.msg);
-        batch_bytes += e.msg.payload.size();
-      }
-      keep.push_back(std::move(e));
+  for (std::size_t i = 0; i < fifo_.size(); ++i) {
+    if (batch_.size() >= policy_.max_count ||
+        (policy_.max_bytes > 0 && batch_bytes >= policy_.max_bytes)) {
+      break;
     }
-    fifo_.pop_front();
+    Entry& e = fifo_[i];
+    if (e.state != State::kLive) continue;
+    e.state = State::kInFlight;
+    e.instance = k;
+    --eligible_;
+    batch_.push_back(std::cref(e.msg));
+    batch_bytes += e.msg.payload.size();
   }
-  fifo_ = std::move(keep);
-  if (!batch.empty()) {
-    auto& marks = in_flight_[k];
-    for (const AppMessage& m : batch) {
-      proposed_.insert(m.id);
-      marks.push_back(m.id);
-    }
+  if (!batch_.empty() &&
+      std::find(in_flight_.begin(), in_flight_.end(), k) == in_flight_.end()) {
+    in_flight_.push_back(k);
   }
-  return batch;
+  return batch_;
 }
 
 void Batcher::on_decided(std::uint64_t k) {
-  auto it = in_flight_.find(k);
-  if (it == in_flight_.end()) return;
-  for (const MsgId& id : it->second) proposed_.erase(id);
-  in_flight_.erase(it);
+  if (std::erase(in_flight_, k) == 0) return;
+  for (std::size_t i = 0; i < fifo_.size(); ++i) {
+    Entry& e = fifo_[i];
+    if (e.state == State::kInFlight && e.instance == k) {
+      e.state = State::kLive;
+      ++eligible_;
+    }
+  }
 }
 
-std::vector<AppMessage> Batcher::peek(std::size_t cap) const {
-  std::vector<AppMessage> batch;
-  for (const Entry& e : fifo_) {
-    if (ids_.count(e.msg.id) == 0) continue;
-    if (batch.size() >= cap) break;
-    batch.push_back(e.msg);
+BatchView Batcher::peek(std::size_t cap) const {
+  batch_.clear();
+  for (std::size_t i = 0; i < fifo_.size() && batch_.size() < cap; ++i) {
+    const Entry& e = fifo_[i];
+    if (e.state != State::kOrdered) batch_.push_back(std::cref(e.msg));
   }
-  return batch;
+  return batch_;
 }
 
 }  // namespace modcast::adb

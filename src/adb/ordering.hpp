@@ -23,13 +23,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "adb/batcher.hpp"
 #include "adb/types.hpp"
 #include "util/bytes.hpp"
+#include "util/ring.hpp"
 #include "util/seq_tracker.hpp"
 #include "util/time.hpp"
 
@@ -68,7 +69,6 @@ struct OrderingConfig {
 struct OrderingStats {
   std::uint64_t delivered = 0;              ///< adeliver events
   std::uint64_t instances_completed = 0;    ///< decisions applied
-  std::uint64_t messages_in_decisions = 0;  ///< = delivered; avg M numerator
   std::uint64_t admitted = 0;               ///< own messages admitted
   std::uint64_t max_inflight_instances = 0; ///< pipelining high-water mark
 };
@@ -76,8 +76,9 @@ struct OrderingStats {
 class Ordering {
  public:
   /// origin, seq, payload — adeliver callback (same order at every process).
+  /// The payload is a view into the decided value, valid during the call.
   using DeliverFn = std::function<void(util::ProcessId, std::uint64_t,
-                                       const util::Bytes&)>;
+                                       std::span<const std::uint8_t>)>;
   /// seq — own message admitted by flow control (the paper's t0 for early
   /// latency: the instant abcast(m) completes).
   using AdmitFn = std::function<void(std::uint64_t)>;
@@ -147,8 +148,9 @@ class Ordering {
   }
   /// Cuts the proposal batch of next_instance() from the pool and moves on
   /// to the next instance. Empty (and no move) when nothing was eligible.
-  std::vector<AppMessage> cut() {
-    std::vector<AppMessage> batch = pool_.cut(next_instance_);
+  /// The batch references pooled entries (see Batcher::cut).
+  BatchView cut() {
+    const BatchView batch = pool_.cut(next_instance_);
     if (batch.empty()) return batch;
     ++next_instance_;
     stats_.max_inflight_instances = std::max<std::uint64_t>(
@@ -166,45 +168,53 @@ class Ordering {
   /// Next instance to apply: every earlier decision has been applied.
   std::uint64_t next_decide() const { return next_decide_; }
   /// Buffers the decided value of instance k. False (ignored) when k has
-  /// already been applied.
+  /// already been applied or is being applied.
   bool add_decision(std::uint64_t k, util::Payload value) {
-    if (k < next_decide_) return false;
-    ready_[k] = std::move(value);
+    if (k < next_decide_ || (applying_ && k == next_decide_)) return false;
+    const std::uint64_t i = k - next_decide_;
+    while (ready_.size() <= i) ready_.push_back(std::nullopt);
+    if (!ready_[i]) ++buffered_;
+    ready_[i] = std::move(value);
     return true;
   }
   /// Decided instances buffered, not yet applied.
-  std::size_t buffered() const { return ready_.size(); }
+  std::size_t buffered() const { return buffered_; }
   /// The next instance to apply is buffered but its decode refused.
-  bool blocked() const {
-    return !ready_.empty() && ready_.begin()->first == next_decide_;
-  }
+  bool blocked() const { return !ready_.empty() && ready_.front(); }
 
-  /// Applies buffered decisions strictly in instance order. `decode(value)`
-  /// returns the instance's batch, or std::nullopt to leave it buffered
-  /// (payloads still missing). Each batch is delivered in id order, each
-  /// message once; `on_deliver(m)` runs for each newly delivered message
-  /// before the deliver handler. Returns the CPU cost of the instances
-  /// applied (instance_overhead each) for the stack to charge.
+  /// Applies buffered decisions strictly in instance order.
+  /// `decode(value, batch)` fills `batch` with the instance's messages as
+  /// views into `value` (or into payloads the stack holds) and returns
+  /// true, or returns false to leave the instance buffered (payloads still
+  /// missing). The value stays in the reorder buffer while its batch is
+  /// applied, so the views stay valid and applying takes no reference
+  /// count. Each batch is delivered in id order, each message once;
+  /// `on_deliver(m)` runs for each newly delivered message before the
+  /// deliver handler. Returns the CPU cost of the instances applied
+  /// (instance_overhead each) for the stack to charge. A call from inside a
+  /// deliver handler returns 0 at once: the running call applies whatever
+  /// the handler made ready.
   template <typename Decode, typename OnDeliver>
   util::Duration apply_ready(Decode&& decode, OnDeliver&& on_deliver) {
+    if (applying_) return 0;
+    struct Applying {
+      bool& flag;
+      explicit Applying(bool& f) : flag(f) { flag = true; }
+      ~Applying() { flag = false; }
+    } applying(applying_);
     util::Duration cost = 0;
-    while (true) {
-      auto it = ready_.find(next_decide_);
-      if (it == ready_.end()) break;
-      std::optional<std::vector<AppMessage>> batch = decode(it->second);
-      if (!batch) break;
-      ready_.erase(it);
-      std::sort(batch->begin(), batch->end(),
-                [](const AppMessage& a, const AppMessage& b) {
+    while (!ready_.empty() && ready_.front()) {
+      if (!decode(*ready_.front(), batch_)) break;
+      std::sort(batch_.begin(), batch_.end(),
+                [](const MessageView& a, const MessageView& b) {
                   return a.id < b.id;
                 });
-      for (AppMessage& m : *batch) {
+      for (const MessageView& m : batch_) {
         if (!delivered_.mark(m.id.origin, m.id.seq)) continue;  // dup across k
         pool_.mark_ordered(m.id);
         if (m.id.origin == self_ && in_flight_ > 0) --in_flight_;
         on_deliver(m);
         ++stats_.delivered;
-        ++stats_.messages_in_decisions;
         if (deliver_) deliver_(m.id.origin, m.id.seq, m.payload);
       }
       ++stats_.instances_completed;
@@ -213,6 +223,9 @@ class Ordering {
       // marked, or they would be re-proposed and the exact §5.2 accounting
       // breaks.
       pool_.on_decided(next_decide_);
+      batch_.clear();  // its views die with the value
+      ready_.pop_front();
+      --buffered_;
       ++next_decide_;
       next_instance_ = std::max(next_instance_, next_decide_);
       cost += config_.instance_overhead;
@@ -236,8 +249,12 @@ class Ordering {
 
   std::uint64_t next_instance_ = 0;  ///< next instance to propose
   std::uint64_t next_decide_ = 0;    ///< next instance to apply
-  /// Decided values awaiting application: views shared with the engine.
-  std::map<std::uint64_t, util::Payload> ready_;
+  /// Reorder buffer: ready_[i] is the decided value of instance
+  /// next_decide_ + i, if it arrived (a view shared with the engine).
+  util::Ring<std::optional<util::Payload>> ready_;
+  std::size_t buffered_ = 0;  ///< engaged slots of ready_
+  bool applying_ = false;     ///< apply_ready is running
+  std::vector<MessageView> batch_;  ///< the batch being applied (reused)
 };
 
 }  // namespace modcast::adb

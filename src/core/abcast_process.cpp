@@ -68,7 +68,15 @@ std::uint64_t AbcastProcess::abcast(util::Bytes payload) {
 }
 
 void AbcastProcess::set_deliver_handler(DeliverFn fn) {
-  ordering_->set_deliver_handler(std::move(fn));
+  if (!fn) {
+    ordering_->set_deliver_handler(nullptr);
+    return;
+  }
+  ordering_->set_deliver_handler(
+      [fn = std::move(fn)](util::ProcessId origin, std::uint64_t seq,
+                           std::span<const std::uint8_t> payload) {
+        fn(origin, seq, util::Bytes(payload.begin(), payload.end()));
+      });
 }
 
 void AbcastProcess::set_admit_handler(AdmitFn fn) {
@@ -82,7 +90,7 @@ ProcessStats AbcastProcess::stats() const {
   ProcessStats s;
   s.delivered = o.delivered;
   s.instances_completed = o.instances_completed;
-  s.messages_in_decisions = o.messages_in_decisions;
+  s.messages_in_decisions = o.delivered;
   s.admitted = o.admitted;
   if (modular_) {
     s.max_round = consensus_->stats().max_round;

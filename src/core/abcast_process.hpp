@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "abcast/modular_abcast.hpp"
@@ -69,11 +70,16 @@ struct StackOptions : adb::OrderingConfig {
 struct ProcessStats {
   std::uint64_t delivered = 0;
   std::uint64_t instances_completed = 0;
+  /// Messages newly delivered by applied instances: the same count as
+  /// `delivered`, kept under this name as avg_batch()'s numerator.
   std::uint64_t messages_in_decisions = 0;
   std::uint64_t admitted = 0;
   std::uint32_t max_round = 0;
   std::uint64_t late_decisions = 0;  ///< instances decided in rounds >= 2
 
+  /// Measured M: newly delivered messages per applied instance. A message
+  /// an instance orders again (it was already delivered by an earlier one)
+  /// does not count.
   double avg_batch() const {
     return instances_completed == 0
                ? 0.0
@@ -84,7 +90,9 @@ struct ProcessStats {
 
 class AbcastProcess {
  public:
-  using DeliverFn = adb::Ordering::DeliverFn;
+  /// origin, seq, payload — adeliver callback (same order at every process).
+  using DeliverFn = std::function<void(util::ProcessId, std::uint64_t,
+                                       const util::Bytes&)>;
   using AdmitFn = adb::Ordering::AdmitFn;
 
   AbcastProcess(runtime::Runtime& rt, StackOptions options);
@@ -99,6 +107,8 @@ class AbcastProcess {
   std::uint64_t abcast(util::Bytes payload);
 
   /// adeliver callback: same (origin, seq) order at every correct process.
+  /// The stacks deliver a view into the decided value; this API hands the
+  /// handler its own copy of the payload.
   void set_deliver_handler(DeliverFn fn);
   /// Fired when an own message passes flow control (the paper's t0).
   void set_admit_handler(AdmitFn fn);

@@ -9,8 +9,10 @@
 // paper measures.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
@@ -25,26 +27,50 @@ using EventType = std::uint16_t;
 /// a composed stack is prefixed with the destination module's id.
 using ModuleId = std::uint8_t;
 
-struct Event {
-  EventType type = 0;
-  /// Typed body for local inter-module events (black-box to other modules).
-  std::shared_ptr<void> body;
+/// A local event: its type and a type-erased body stored inline. Raising is
+/// synchronous (Stack::raise returns after every handler ran), so the body
+/// lives exactly as long as its dispatch and needs no heap: every body type
+/// fits kBodyCapacity bytes, which Event::local checks at compile time. An
+/// Event is built in place where it is raised and never copied or moved.
+class Event {
+ public:
+  /// The largest body: a consensus instance or origin beside a Payload view.
+  static constexpr std::size_t kBodyCapacity = 40;
 
   template <typename T>
   static Event local(EventType type, T body_value) {
-    Event ev;
-    ev.type = type;
-    // wirecheck:allow(hot.alloc): Type-erased body storage is the Event contract; local events are per-decision, not per wire message.
-    ev.body = std::make_shared<T>(std::move(body_value));
-    return ev;
+    return Event(type, std::move(body_value));
   }
+
+  Event(const Event&) = delete;
+  Event& operator=(const Event&) = delete;
+  ~Event() { destroy_(storage()); }
+
+  const EventType type;
 
   /// Returns the body as T. The binding contract of each event type fixes T;
   /// a mismatch is a wiring bug, so no runtime type check is performed.
   template <typename T>
   T& as() const {
-    return *static_cast<T*>(body.get());
+    return *static_cast<T*>(storage());
   }
+
+ private:
+  template <typename T>
+  Event(EventType event_type, T&& body)
+      : type(event_type), destroy_([](void* b) noexcept {
+          std::destroy_at(static_cast<T*>(b));
+        }) {
+    static_assert(sizeof(T) <= kBodyCapacity,
+                  "event body exceeds Event::kBodyCapacity");
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    std::construct_at(static_cast<T*>(storage()), std::move(body));
+  }
+
+  void* storage() const { return static_cast<void*>(body_); }
+
+  alignas(std::max_align_t) mutable unsigned char body_[kBodyCapacity];
+  void (*destroy_)(void* body) noexcept;
 };
 
 // ---------------------------------------------------------------------------

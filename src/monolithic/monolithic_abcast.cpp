@@ -94,7 +94,7 @@ void MonolithicAbcast::route_message(adb::AppMessage m) {
     // Modular-style diffusion: everyone gets (and pools) the message.
     util::ByteWriter w(m.payload.size() + 32);
     w.u8(kForward);
-    w.raw(adb::encode_batch({m}));
+    adb::encode_batch(w, std::span(&m, 1));
     framework::TraceScope scope(*stack_, framework::kNoInstance,
                                 m.payload.size());
     stack_->send_wire_to_others(framework::kModMonolithic, w.take());
@@ -121,11 +121,8 @@ void MonolithicAbcast::arm_flush_timer() {
 
 void MonolithicAbcast::flush_outbox_standalone() {
   if (outbox_.empty()) return;
-  std::vector<adb::AppMessage> batch(outbox_.begin(), outbox_.end());
-  outbox_.clear();
-  util::ByteWriter w;
-  w.u8(kForward);
-  w.raw(adb::encode_batch(batch));
+  std::vector<adb::AppMessage> batch;
+  batch.swap(outbox_);
   // Route to the coordinator of the instance currently making progress. If
   // the initial coordinator is suspected and no instance is active, spin up
   // recovery first so the forward goes to a live coordinator.
@@ -137,7 +134,7 @@ void MonolithicAbcast::flush_outbox_standalone() {
   if (rounds_.suspects(target)) {
     // Re-queue the batch so ensure_instance_progress sees it as pending,
     // then re-resolve the route.
-    for (auto& m : batch) outbox_.push_back(m);
+    outbox_ = batch;
     ensure_instance_progress();
     outbox_.clear();
     target = route();
@@ -152,6 +149,9 @@ void MonolithicAbcast::flush_outbox_standalone() {
     start_instances();
     return;
   }
+  util::ByteWriter w(1 + adb::encoded_batch_size(batch));
+  w.u8(kForward);
+  adb::encode_batch(w, batch);
   framework::TraceScope scope(*stack_, framework::kNoInstance,
                               adb::payload_bytes(batch));
   stack_->send_wire(target, framework::kModMonolithic, w.take());
@@ -201,11 +201,12 @@ bool MonolithicAbcast::try_start_instance() {
     arm_batch_timer(now);
     return false;
   }
-  std::vector<adb::AppMessage> batch = ordering_.cut();
+  const adb::BatchView batch = ordering_.cut();
   if (batch.empty()) return false;
 
   Instance& inst = *rounds_.open(k);
-  const util::Bytes value = adb::encode_batch(batch);
+  util::ByteWriter value(adb::encoded_batch_size(batch));
+  adb::encode_batch(value, batch);
 
   // §4.1: piggyback a decision tag on this proposal. Prefer a decision not
   // yet shipped in any COMBINED; when there is none, re-attach the latest
@@ -233,7 +234,7 @@ bool MonolithicAbcast::try_start_instance() {
   }
   w.u64(k);
   const std::size_t at = w.size();
-  w.raw(value);
+  w.raw(value.bytes());
   util::Payload sent;
   {
     framework::TraceScope scope(*stack_, k, adb::payload_bytes(batch));
@@ -393,13 +394,14 @@ void MonolithicAbcast::send_estimate(Instance& inst, std::uint32_t round,
   }
   outbox_.clear();  // superseded: everything undelivered rides this estimate
 
-  util::ByteWriter w(inst.estimate.size() + 64);
+  util::ByteWriter w(inst.estimate.size() + adb::encoded_batch_size(piggy) +
+                     64);
   w.u8(kEstimate);
   w.u64(inst.k);
   w.u32(round);
   w.u32(inst.estimate_ts);
   w.blob(inst.estimate);
-  w.raw(adb::encode_batch(piggy));
+  adb::encode_batch(w, piggy);
   framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
@@ -489,22 +491,21 @@ void MonolithicAbcast::check_estimates(Instance& inst, std::uint32_t round) {
 
 void MonolithicAbcast::send_ack(Instance& inst, std::uint32_t round,
                                 util::ProcessId coord) {
-  std::vector<adb::AppMessage> piggy;
-  if (config_.opt_piggyback) {
-    piggy.assign(outbox_.begin(), outbox_.end());
-    outbox_.clear();
-    if (flush_timer_ != runtime::kInvalidTimer) {
-      stack_->rt().cancel_timer(flush_timer_);
-      flush_timer_ = runtime::kInvalidTimer;
-    }
-    stats_.piggybacked_messages += piggy.size();
-  }
-  util::ByteWriter w(64);
+  // §4.2: the outbox rides the ack. Without piggybacking nothing is ever
+  // queued there, so the ack carries an empty batch.
+  util::ByteWriter w(adb::encoded_batch_size(outbox_) + 32);
   w.u8(kAck);
   w.u64(inst.k);
   w.u32(round);
-  w.raw(adb::encode_batch(piggy));
-  framework::TraceScope scope(*stack_, inst.k, adb::payload_bytes(piggy));
+  adb::encode_batch(w, outbox_);
+  const std::size_t app_bytes = adb::payload_bytes(outbox_);
+  stats_.piggybacked_messages += outbox_.size();
+  outbox_.clear();
+  if (flush_timer_ != runtime::kInvalidTimer) {
+    stack_->rt().cancel_timer(flush_timer_);
+    flush_timer_ = runtime::kInvalidTimer;
+  }
+  framework::TraceScope scope(*stack_, inst.k, app_bytes);
   stack_->send_wire(coord, framework::kModMonolithic, w.take());
 }
 
@@ -581,10 +582,11 @@ void MonolithicAbcast::decide(std::uint64_t k, std::uint32_t round,
 
 void MonolithicAbcast::apply_ready_decisions() {
   stack_->rt().charge_cpu(ordering_.apply_ready(
-      [](const util::Payload& value) {
-        return std::optional(adb::decode_batch(value.span()));
+      [](const util::Payload& value, std::vector<adb::MessageView>& batch) {
+        adb::decode_batch(value.span(), batch);
+        return true;
       },
-      [this](const adb::AppMessage& m) {
+      [this](const adb::MessageView& m) {
         if (m.id.origin != stack_->self()) return;
         own_pending_.erase(m.id);
         // Drop it from the outbox too: it is ordered, no need to forward.
@@ -692,8 +694,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
     case kAck: {
       const std::uint64_t k = r.u64();
       const std::uint32_t round = r.u32();
-      const std::span<const std::uint8_t> piggy = r.rest();
-      for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(msg, r)) pool_add(std::move(m));
       if (Instance* inst = rounds_.open(k)) {
         if (rounds_.ack(*inst, round, from)) coordinator_decided(*inst, round);
       }
@@ -702,8 +703,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       break;
     }
     case kForward: {
-      const std::span<const std::uint8_t> batch = r.rest();
-      for (auto& m : adb::decode_batch(batch)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(msg, r)) pool_add(std::move(m));
       start_instances();
       // If we coordinate a held recovery round, the fresh pool content may
       // unblock it.
@@ -735,8 +735,7 @@ void MonolithicAbcast::on_wire(util::ProcessId from, util::Payload msg) {
       const std::uint32_t len = r.u32();
       util::Payload est = msg.slice(r.position(), len);
       r.skip(len);
-      const std::span<const std::uint8_t> piggy = r.rest();
-      for (auto& m : adb::decode_batch(piggy)) pool_add(std::move(m));
+      for (auto& m : adb::decode_batch(msg, r)) pool_add(std::move(m));
       Instance* inst = rounds_.open(k);
       if (inst == nullptr) {
         reply_decision_if_known(from, k);
@@ -866,9 +865,10 @@ void MonolithicAbcast::arm_liveness_timer() {
           flush_outbox_standalone();
         } else if (!config_.opt_piggyback) {
           for (const auto& [id, payload] : own_pending_) {
+            const adb::AppMessage m{id, payload};
             util::ByteWriter w(payload.size() + 32);
             w.u8(kForward);
-            w.raw(adb::encode_batch({adb::AppMessage{id, payload}}));
+            adb::encode_batch(w, std::span(&m, 1));
             framework::TraceScope scope(*stack_, framework::kNoInstance,
                                         payload.size());
             stack_->send_wire_to_others(framework::kModMonolithic, w.take());

@@ -171,8 +171,9 @@ class MonolithicAbcast final : public framework::Module {
   // as coordinator, the messages forwarded to it; with opt_piggyback off,
   // every diffused message, like the modular stack.
   adb::Ordering ordering_;
-  std::map<adb::MsgId, util::Bytes> own_pending_;  ///< admitted, undelivered
-  std::deque<adb::AppMessage> outbox_;  ///< not yet sent to coordinator
+  /// Admitted, undelivered own messages (views of the admitted payloads).
+  std::map<adb::MsgId, util::Payload> own_pending_;
+  std::vector<adb::AppMessage> outbox_;  ///< not yet sent to coordinator
   runtime::TimerId flush_timer_ = runtime::kInvalidTimer;
   runtime::TimerId batch_timer_ = runtime::kInvalidTimer;  ///< δ-time trigger
 

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "sim/simulator.hpp"
 #include "util/inline_fn.hpp"
+#include "util/ring.hpp"
 #include "util/time.hpp"
 
 namespace modcast::sim {
@@ -55,14 +55,16 @@ class Cpu {
 
  private:
   struct Work {
-    util::Duration cost;
+    util::Duration cost = 0;
     WorkFn fn;
   };
 
   void start_next();
 
   Simulator* sim_;
-  std::deque<Work> queue_;
+  /// FIFO of queued work: a ring grown to its high-water mark, so queueing
+  /// allocates nothing in steady state.
+  util::Ring<Work> queue_;
   bool running_ = false;
   util::TimePoint free_at_ = 0;
   util::Duration busy_time_ = 0;

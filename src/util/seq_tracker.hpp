@@ -17,8 +17,10 @@ class SeqTracker {
   bool mark(std::uint32_t origin, std::uint64_t seq) {
     auto& s = streams_[origin];
     if (seq < s.watermark) return false;
-    if (!s.above.insert(seq).second) return false;
-    // Advance the contiguous watermark.
+    if (seq > s.watermark) return s.above.insert(seq).second;
+    // Next in order: advance the watermark without touching the set, then
+    // over any sparse ids this one made contiguous.
+    ++s.watermark;
     while (!s.above.empty() && *s.above.begin() == s.watermark) {
       s.above.erase(s.above.begin());
       ++s.watermark;

@@ -35,6 +35,31 @@ std::string concat(const Parts&... parts) {
   return out;
 }
 
+/// Sits between a world and a process's protocol and keeps every frame the
+/// process receives, so a test can ask which frame a payload view slices.
+class FrameTap final : public runtime::Protocol {
+ public:
+  explicit FrameTap(runtime::Protocol& inner) : inner_(&inner) {}
+
+  void start() override { inner_->start(); }
+  void on_message(util::ProcessId from, util::Payload msg) override {
+    frames_.push_back(msg);
+    inner_->on_message(from, std::move(msg));
+  }
+
+  /// The received frame whose buffer `view` shares, or nullptr.
+  const util::Payload* source_of(const util::Payload& view) const {
+    for (const util::Payload& f : frames_) {
+      if (view.shares_buffer(f)) return &f;
+    }
+    return nullptr;
+  }
+
+ private:
+  runtime::Protocol* inner_;
+  std::vector<util::Payload> frames_;
+};
+
 /// One process running FD + RBcast (+ optionally Consensus).
 struct Node {
   explicit Node(runtime::Runtime& rt, fd::FdConfig fdc = {},

@@ -7,6 +7,7 @@
 
 #include "analysis/analytical_model.hpp"
 #include "core/sim_group.hpp"
+#include "stack_harness.hpp"
 
 namespace modcast::abcast {
 namespace {
@@ -278,6 +279,37 @@ TEST(ModularZeroCopy, AllProcessesShareOneDecidedBuffer) {
   EXPECT_TRUE(decided(1)->shares_buffer(*decided(2)));
   EXPECT_TRUE(decided(0)->shares_buffer(*decided(1)));
   EXPECT_EQ(*decided(1), *decided(0));
+}
+
+// Zero-copy pool: a diffused message is pooled as a view of the frame it
+// arrived in, not as a copy of its payload.
+TEST(ModularZeroCopy, PooledDiffusionSharesItsFrame) {
+  core::SimGroup group(modular_config(3));
+  test::FrameTap tap(group.process(1).protocol());
+  group.world().attach(1, &tap);
+  group.start();
+  feed(group, 2, 1, milliseconds(1), milliseconds(1), 1024);
+  // Step until p1 holds p2's message, which it does from the diffusion's
+  // arrival until the decision that orders it.
+  bool pooled = false;
+  for (util::TimePoint t = milliseconds(1); !pooled && t < milliseconds(50);
+       t += util::microseconds(50)) {
+    group.run_until(t);
+    group.process(1).ordering().pool().for_each_live(
+        [&](const AppMessage& m) {
+          pooled = true;
+          EXPECT_EQ(m.id, (MsgId{2, 0}));
+          EXPECT_EQ(m.payload.size(), 1024u);
+          const util::Payload* frame = tap.source_of(m.payload);
+          ASSERT_NE(frame, nullptr) << "pooled payload is a copy";
+          EXPECT_EQ((*frame)[0], framework::kModAbcast);
+          EXPECT_EQ((*frame)[1], 1);  // kDiffuse
+        });
+  }
+  EXPECT_TRUE(pooled);
+  group.run_until(seconds(1));
+  EXPECT_EQ(group.deliveries(1).size(), 1u);
+  EXPECT_TRUE(group.process(1).ordering().pool().empty());
 }
 
 // Regression: a size-triggered proposal that drains the batcher must cancel

@@ -5,6 +5,7 @@
 
 #include "analysis/analytical_model.hpp"
 #include "core/sim_group.hpp"
+#include "stack_harness.hpp"
 
 namespace modcast::monolithic {
 namespace {
@@ -147,6 +148,41 @@ TEST(MonolithicZeroCopy, AllProcessesShareOneDecidedBuffer) {
   EXPECT_TRUE(decided(1)->value.shares_buffer(decided(2)->value));
   EXPECT_TRUE(decided(0)->value.shares_buffer(decided(1)->value));
   EXPECT_EQ(decided(1)->value, decided(0)->value);
+}
+
+// Zero-copy pool: a message piggybacked on an ack (§4.2) is pooled at the
+// coordinator as a view of the ack frame it arrived in, not as a copy.
+TEST(MonolithicZeroCopy, PiggybackedMessageSharesTheAckFrame) {
+  core::SimGroupConfig cfg = mono_config(3);
+  // p1's message waits in its outbox for the next ack instead of leaving
+  // as a standalone forward.
+  cfg.stack.forward_flush_delay = milliseconds(50);
+  core::SimGroup group(cfg);
+  test::FrameTap tap(group.process(0).protocol());
+  group.world().attach(0, &tap);
+  group.start();
+  feed(group, 1, 1, milliseconds(1), milliseconds(1), 1024);
+  feed(group, 0, 1, milliseconds(2), milliseconds(1), 16);  // opens an instance
+  bool pooled = false;
+  for (util::TimePoint t = milliseconds(2); !pooled && t < milliseconds(50);
+       t += util::microseconds(50)) {
+    group.run_until(t);
+    group.process(0).ordering().pool().for_each_live(
+        [&](const adb::AppMessage& m) {
+          if (m.id.origin != 1) return;
+          pooled = true;
+          EXPECT_EQ(m.payload.size(), 1024u);
+          const util::Payload* frame = tap.source_of(m.payload);
+          ASSERT_NE(frame, nullptr) << "pooled payload is a copy";
+          EXPECT_EQ((*frame)[0], framework::kModMonolithic);
+          EXPECT_EQ((*frame)[1], 2);  // kAck
+        });
+  }
+  EXPECT_TRUE(pooled);
+  EXPECT_EQ(group.process(1).monolithic()->stats().piggybacked_messages, 1u);
+  EXPECT_EQ(group.process(1).monolithic()->stats().forwards_sent, 0u);
+  group.run_until(seconds(1));
+  EXPECT_EQ(group.deliveries(0).size(), 2u);
 }
 
 // StackOptions::consensus reaches the monolithic stack's round engine as it

@@ -221,5 +221,22 @@ TEST(Event, LocalBodyIsTyped) {
   EXPECT_EQ(ev.as<IntBody>().value, 42);
 }
 
+// The body lives inside the Event for exactly its dispatch: a handler sees
+// it, and it is released when raise() returns.
+TEST(Event, InlineBodyIsReleasedWithTheEvent) {
+  Harness h(1);
+  const util::Payload value(util::Bytes(64, 7));
+  long seen_uses = 0;
+  h.stacks[0]->bind(kEvDecide, [&](const Event& ev) {
+    auto& body = ev.as<ConsensusValueBody>();
+    EXPECT_EQ(body.instance, 9u);
+    EXPECT_TRUE(body.value.shares_buffer(value));
+    seen_uses = value.use_count();
+  });
+  h.stacks[0]->raise(Event::local(kEvDecide, ConsensusValueBody{9, value}));
+  EXPECT_EQ(seen_uses, 2);  // the body held its view during dispatch
+  EXPECT_EQ(value.use_count(), 1);
+}
+
 }  // namespace
 }  // namespace modcast::framework

@@ -85,6 +85,18 @@ TEST(Lifecheck, InstLeakDetected) {
   EXPECT_EQ(r.violations(), 1u);
 }
 
+TEST(Lifecheck, FreeFunctionEraseIsARelease) {
+  lifecheck::Report r = run_fixture("erase_release");
+  // std::erase(marks_, k) and std::erase_if(parked_, pred) release their
+  // containers; stuck_ alone accumulates.
+  EXPECT_EQ(count_rule(r, "inst.leak"), 1);
+  for (const auto& d : r.diagnostics) {
+    if (d.rule != "inst.leak") continue;
+    EXPECT_NE(d.message.find("stuck_"), std::string::npos) << d.message;
+  }
+  EXPECT_EQ(r.violations(), 1u);
+}
+
 TEST(Lifecheck, NonexhaustiveSwitchDetected) {
   lifecheck::Report r = run_fixture("nonexhaustive_switch");
   EXPECT_EQ(count_rule(r, "state.switch"), 1);

@@ -157,6 +157,51 @@ TEST(Cpu, HaltDropsQueuedWork) {
   EXPECT_EQ(ran, 0);
 }
 
+TEST(Cpu, QueueKeepsFifoOrderAcrossWrapAroundAndGrowth) {
+  // Work queued while the CPU is busy sits in a ring: queue a few items,
+  // let some complete so the ring's front moves, then queue far more than
+  // it has held, so new items wrap past its end and it grows while
+  // wrapped. Completion order and busy time must not notice.
+  Simulator sim;
+  Cpu cpu(sim);
+  std::vector<int> order;
+  std::vector<util::TimePoint> done;
+  int next = 0;
+  auto queue = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const int id = next++;
+      cpu.execute(microseconds(1 + id % 3), [&, id] {
+        order.push_back(id);
+        done.push_back(sim.now());
+      });
+    }
+  };
+  sim.at(0, [&] { queue(5); });
+  sim.at(microseconds(4), [&] { queue(20); });  // two done: the front moved
+  sim.at(microseconds(9), [&] { queue(40); });
+  sim.run();
+  ASSERT_EQ(order.size(), 65u);
+  util::Duration busy = 0;
+  for (int id = 0; id < 65; ++id) {
+    busy += microseconds(1 + id % 3);
+    EXPECT_EQ(order[static_cast<std::size_t>(id)], id);
+    // Back to back from t=0: each item completes when the CPU has been
+    // busy for the cost of every item up to it.
+    EXPECT_EQ(done[static_cast<std::size_t>(id)], busy);
+  }
+  EXPECT_EQ(cpu.busy_time(), busy);
+  EXPECT_EQ(cpu.queue_depth(), 0u);
+  // The drained ring is reused from wherever its front stopped.
+  order.clear();
+  done.clear();
+  sim.at(sim.now() + microseconds(100), [&] { queue(12); });
+  sim.run();
+  ASSERT_EQ(order.size(), 12u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], 65 + static_cast<int>(i));
+  }
+}
+
 TEST(Cpu, WindowUtilization) {
   Simulator sim;
   Cpu cpu(sim);

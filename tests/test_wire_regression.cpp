@@ -379,7 +379,9 @@ TEST(WireFormat, AdbMessageBatchAndIdBatch) {
   batch_expected.insert(batch_expected.end(), msg_expected.begin(),
                         msg_expected.end());
   EXPECT_EQ(batch, batch_expected);
-  const auto decoded = adb::decode_batch(batch);
+  const util::Payload frame(batch);
+  util::ByteReader r(frame);
+  const auto decoded = adb::decode_batch(frame, r);
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].id.origin, 7u);
   EXPECT_EQ(decoded[0].id.seq, 9u);

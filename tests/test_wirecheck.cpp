@@ -83,6 +83,24 @@ TEST(WirecheckFixtures, AsymMessagesNameBothSequences) {
   EXPECT_TRUE(found);
 }
 
+TEST(WirecheckFixtures, FrameAndReaderDecodeHelpersMatchByName) {
+  Report r = run_fixture("frame_reader");
+  // decode_item(msg, r) and decode_bundle(frame, r) count as helper calls
+  // like decode_X(r): kItem, kBundle and the fix.bundle format match.
+  // kMixed encodes an item but decodes a bundle.
+  EXPECT_EQ(count_rule(r, "wire.asym"), 1u)
+      << wirecheck::to_json(r, "frame_reader");
+  bool mixed = false;
+  for (const Diagnostic& d : r.diagnostics) {
+    if (d.rule != "wire.asym") continue;
+    mixed = d.message.find("kMixed") != std::string::npos &&
+            d.message.find("[call:item]") != std::string::npos &&
+            d.message.find("[call:bundle]") != std::string::npos;
+  }
+  EXPECT_TRUE(mixed) << wirecheck::to_json(r, "frame_reader");
+  EXPECT_EQ(r.violations(), 1u);
+}
+
 TEST(WirecheckFixtures, DeadAndUnhandledDetected) {
   Report r = run_fixture("deadtags");
   // kSentOnly (tag), kEvOrphan (event), kModGhost (module id). kEvApp is

@@ -1,9 +1,11 @@
-// Unit tests: experiment harness (workload/experiment) and ADB service
-// wire types (adb/types).
+// Unit tests: experiment harness (workload/experiment), ADB service wire
+// types (adb/types) and the ordering front end's apply loop
+// (adb/ordering).
 #include "workload/experiment.hpp"
 
 #include <gtest/gtest.h>
 
+#include "adb/ordering.hpp"
 #include "adb/types.hpp"
 
 namespace modcast::workload {
@@ -90,10 +92,13 @@ TEST(AdbTypes, MessageRoundTrip) {
   util::ByteWriter w;
   encode_message(w, m);
   EXPECT_EQ(w.size(), encoded_size(m));
-  util::ByteReader r(w.bytes());
-  AppMessage back = decode_message(r);
+  const util::Payload frame(w.take());
+  util::ByteReader r(frame);
+  AppMessage back = decode_message(frame, r);
   EXPECT_EQ(back.id, m.id);
   EXPECT_EQ(back.payload, m.payload);
+  EXPECT_TRUE(back.payload.shares_buffer(frame));  // a slice, not a copy
+  EXPECT_TRUE(r.done());
 }
 
 TEST(AdbTypes, BatchRoundTrip) {
@@ -101,19 +106,31 @@ TEST(AdbTypes, BatchRoundTrip) {
   for (std::uint32_t i = 0; i < 5; ++i) {
     batch.push_back({{i, i * 100}, util::Bytes(i, static_cast<uint8_t>(i))});
   }
-  auto encoded = encode_batch(batch);
-  auto decoded = decode_batch(encoded);
+  const util::Payload encoded = encode_batch(batch);
+  util::ByteReader r(encoded);
+  auto decoded = decode_batch(encoded, r);
   ASSERT_EQ(decoded.size(), batch.size());
+  std::vector<MessageView> views;
+  decode_batch(encoded.span(), views);
+  ASSERT_EQ(views.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(decoded[i].id, batch[i].id);
     EXPECT_EQ(decoded[i].payload, batch[i].payload);
+    EXPECT_EQ(views[i].id, batch[i].id);
+    EXPECT_EQ(util::Payload(util::Bytes(views[i].payload.begin(),
+                                        views[i].payload.end())),
+              batch[i].payload);
   }
 }
 
 TEST(AdbTypes, EmptyBatch) {
-  auto encoded = encode_batch({});
+  const util::Payload encoded = encode_batch({});
   EXPECT_EQ(encoded.size(), 4u);
-  EXPECT_TRUE(decode_batch(encoded).empty());
+  util::ByteReader r(encoded);
+  EXPECT_TRUE(decode_batch(encoded, r).empty());
+  std::vector<MessageView> views(3);
+  decode_batch(encoded.span(), views);
+  EXPECT_TRUE(views.empty());
 }
 
 TEST(AdbTypes, MsgIdOrdering) {
@@ -123,8 +140,49 @@ TEST(AdbTypes, MsgIdOrdering) {
 }
 
 TEST(AdbTypes, CorruptBatchThrows) {
-  util::Bytes bad = {0xff, 0xff, 0xff, 0xff};  // claims 4 billion messages
-  EXPECT_THROW(decode_batch(bad), util::DecodeError);
+  // Claims 4 billion messages.
+  const util::Payload bad(util::Bytes{0xff, 0xff, 0xff, 0xff});
+  util::ByteReader r(bad);
+  EXPECT_THROW(decode_batch(bad, r), util::DecodeError);
+  std::vector<MessageView> views;
+  EXPECT_THROW(decode_batch(bad.span(), views), util::DecodeError);
+}
+
+// The apply loop delivers views into the decided value it holds, so a
+// deliver handler that re-enters the front end must not replace that value
+// or run a second loop: the instance being applied is refused, a later one
+// is buffered, and a nested apply_ready leaves it to the running loop,
+// which applies it next, in instance order.
+TEST(AdbOrdering, DeliverHandlerReentryIsLeftToTheRunningApply) {
+  Ordering ordering(OrderingConfig{});
+  ordering.init(0);
+  auto value = [](std::vector<AppMessage> batch) {
+    return util::Payload(encode_batch(batch));
+  };
+  auto decode = [](const util::Payload& v, std::vector<MessageView>& out) {
+    decode_batch(v.span(), out);
+    return true;
+  };
+  auto nothing = [](const MessageView&) {};
+  std::vector<std::pair<MsgId, std::uint8_t>> delivered;
+  ordering.set_deliver_handler([&](util::ProcessId origin, std::uint64_t seq,
+                                   std::span<const std::uint8_t> payload) {
+    delivered.emplace_back(MsgId{origin, seq}, payload[0]);
+    if (delivered.size() != 1) return;
+    EXPECT_FALSE(ordering.add_decision(0, value({{{9, 9}, util::Bytes{9}}})));
+    EXPECT_TRUE(ordering.add_decision(1, value({{{2, 0}, util::Bytes{3}}})));
+    EXPECT_EQ(ordering.apply_ready(decode, nothing), 0);
+  });
+  ASSERT_TRUE(ordering.add_decision(
+      0, value({{{1, 1}, util::Bytes{2}}, {{1, 0}, util::Bytes{1}}})));
+  EXPECT_EQ(ordering.apply_ready(decode, nothing),
+            2 * ordering.config().instance_overhead);
+  const std::vector<std::pair<MsgId, std::uint8_t>> expected = {
+      {{1, 0}, 1}, {{1, 1}, 2}, {{2, 0}, 3}};
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(ordering.next_decide(), 2u);
+  EXPECT_EQ(ordering.buffered(), 0u);
+  EXPECT_EQ(ordering.stats().delivered, 3u);
 }
 
 }  // namespace

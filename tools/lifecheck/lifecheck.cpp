@@ -20,6 +20,7 @@ using analyzer::match_paren;
 using analyzer::member_access;
 using analyzer::range_mentions;
 using analyzer::skip_template_args;
+using analyzer::std_qualified;
 using analyzer::tok_is;
 
 namespace {
@@ -285,6 +286,13 @@ void collect_inst_facts(const std::vector<Token>& t, std::size_t file_idx,
     if (tok_is(t, i + 1, ".") && i + 3 < t.size() && t[i + 2].ident &&
         kReleases.count(t[i + 2].text) && tok_is(t, i + 3, "(")) {
       fi.released.insert(t[i].text);
+    }
+    // The C++20 free-function form: `std::erase(name, v)` /
+    // `std::erase_if(name, pred)`.
+    if ((t[i].text == "erase" || t[i].text == "erase_if") &&
+        std_qualified(t, i) && tok_is(t, i + 1, "(") && i + 2 < t.size() &&
+        t[i + 2].ident) {
+      fi.released.insert(t[i + 2].text);
     }
   }
 }

@@ -24,8 +24,8 @@
 //     loops like the failure detector) are exempt.
 //   * inst.leak   — a std:: container field (trailing-underscore member in
 //     a manifest-listed [instances] file) with no erase/clear/pop/extract
-//     release site in its translation unit: per-instance state accumulates
-//     without bound as instances decide.
+//     (or std::erase/std::erase_if) release site in its translation unit:
+//     per-instance state accumulates without bound as instances decide.
 //   * state.switch — a switch over a protocol enum (enum/enum class
 //     definition found anywhere in the tree), over the kEv*/kMod* registry,
 //     or over a file's wire-tag family, that has no default and misses

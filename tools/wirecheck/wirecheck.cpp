@@ -240,9 +240,13 @@ void collect_reader_ops(const std::vector<Token>& t, std::size_t a,
       j += 2;
       continue;
     }
-    // decode_X(r, ...) helper call
+    // decode_X(r, ...) helper call, or decode_X(frame, r, ...): a helper
+    // that slices views out of the frame the reader reads
     if (tk.text.rfind("decode", 0) == 0 && tok_is(t, j + 1, "(") &&
-        j + 2 < t.size() && t[j + 2].ident && readers.count(t[j + 2].text)) {
+        j + 2 < t.size() && t[j + 2].ident &&
+        (readers.count(t[j + 2].text) ||
+         (tok_is(t, j + 3, ",") && j + 4 < t.size() && t[j + 4].ident &&
+          readers.count(t[j + 4].text)))) {
       ops.push_back("call:" + helper_suffix(tk.text));
       continue;
     }

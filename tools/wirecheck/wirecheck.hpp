@@ -12,7 +12,8 @@
 //     sequence in the decoder in count, width, and order. Sequences are
 //     normalized (i64 ≡ u64, raw/rest/position-slices ≡ trailing bytes,
 //     u32-length + slice ≡ blob, encode_X/decode_X helper calls match by
-//     name) so zero-copy decoders compare equal to their copying encoders.
+//     name, whether the decoder takes the reader or the frame and the
+//     reader) so zero-copy decoders compare equal to their copying encoders.
 //   * wire.unhandled / wire.dead — every wire tag that is sent must have a
 //     decoder branch in its file, and a tag with a decoder branch that
 //     nobody sends is dead. At channel level, every registry module id /
